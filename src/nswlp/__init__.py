@@ -36,7 +36,6 @@ from .configlp import (
     EllipsoidRun,
     ellipsoid_run,
     full_enumeration_lp,
-    knapsack_cover,
     separation_oracle,
     solve_configuration_lp,
     solve_restricted_primal,
@@ -83,7 +82,6 @@ __all__ = [
     "decompose",
     "ellipsoid_run",
     "full_enumeration_lp",
-    "knapsack_cover",
     "log_nsw",
     "make_instance",
     "marginals",

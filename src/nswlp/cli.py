@@ -31,7 +31,7 @@ from .core import (
 )
 from .gen import random_instance
 from .reference import BRUTE_FORCE_GUARD, brute_force_opt, positivity_check
-from .rounding import allocation_from_matching, round_combination
+from .rounding import allocation_from_matching, best_allocation, round_combination
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -88,23 +88,19 @@ def solve_pipeline(
     """
     colsol = solve_configuration_lp(instance, epsilon / 4.0)
     comb = round_combination(instance, colsol)
-    allocs = [
-        allocation_from_matching(mat, instance.num_items) for mat in comb.matchings
-    ]
     if mode == "sample":
         rng = random.Random(seed)
         u = rng.random()
         acc = 0.0
-        pick = allocs[-1]
-        for alloc, lam in zip(allocs, comb.weights):
+        pick = comb.matchings[-1]
+        for mat, lam in zip(comb.matchings, comb.weights):
             acc += float(lam)
             if u < acc:
-                pick = alloc
+                pick = mat
                 break
-        chosen = pick
+        chosen = allocation_from_matching(pick, instance.num_items)
     else:
-        chosen = max(allocs, key=lambda a: (log_nsw(instance, a),))
-        # max() keeps the first argmax, so the choice is deterministic.
+        chosen = best_allocation(instance, comb)
     if gift:
         chosen = _gift_leftovers(instance, chosen)
     return chosen, colsol, len(comb.matchings)

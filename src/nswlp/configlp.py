@@ -28,7 +28,7 @@ from .core import (
     scale_values,
     validate,
 )
-from .lpsolve import LinearProgram, LpSolution, solve_lp
+from .lpsolve import LinearProgram, solve_lp
 from .reference import assignment_baseline
 
 _ZERO = Fraction(0)
@@ -80,55 +80,7 @@ class EllipsoidRun:
     o: float
     columns: tuple[tuple[int, tuple[int, ...]], ...]
     iterations: int
-    reason: str  # 'volume' | 'flat' | 'feasible-center' | 'iteration-cap'
-
-
-# ---------------------------------------------------------------------------
-# knapsack cover
-
-
-def knapsack_cover(
-    unit_values: Sequence[int],
-    costs: Sequence[float],
-    target: int,
-) -> Optional[list[int]]:
-    """Min-cost item set whose unit values sum to at least ``target``.
-
-    Exact DP over (item prefix, covered units capped at target).  Returns
-    the chosen item indices, or None when even all items fall short.
-    """
-    z = [int(t) for t in unit_values]
-    if target <= 0:
-        return []
-    if sum(z) < target:
-        return None
-    inf = math.inf
-    layer = [0.0] + [inf] * target
-    layers = [layer]
-    parents: list[list[int]] = []
-    for zk, ck in zip(z, costs):
-        prev = layers[-1]
-        cur = list(prev)
-        par = [-1] * (target + 1)
-        for t in range(target + 1):
-            if prev[t] == inf:
-                continue
-            t2 = min(t + zk, target)
-            cand = prev[t] + ck
-            if cand < cur[t2]:
-                cur[t2] = cand
-                par[t2] = t
-        layers.append(cur)
-        parents.append(par)
-    chosen = []
-    t = target
-    for k in range(len(z) - 1, -1, -1):
-        if layers[k + 1][t] == layers[k][t]:
-            continue
-        chosen.append(k)
-        t = parents[k][t]
-    chosen.reverse()
-    return chosen
+    reason: str  # 'volume' | 'flat' | 'feasible-center'
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +292,9 @@ def ellipsoid_run(
     objective constraint sum(alpha) + sum(beta) <= o, then a violated bundle
     constraint from the oracle, which is recorded as a column.  The run ends
     when the oracle finds nothing (feasible-center), when the ellipsoid
-    volume drops below that of the termination cuboid, or at the analytic
-    iteration cap.
+    volume drops below that of the termination cuboid (volume), or when the
+    ellipsoid's support along a violated constraint's normal no longer
+    reaches that constraint's feasible side (flat).
     """
     plans = _plans if _plans is not None else _build_plans(scaled, epsilon)
     n, m = scaled.num_agents, scaled.num_items
@@ -363,20 +316,15 @@ def ellipsoid_run(
     target = d * math.log(epsilon / (16.0 * d))
     # Exact per-cut volume drop of the central-cut update.
     step = 0.5 * (d * math.log(d * d / (d * d - 1.0)) + math.log((d - 1.0) / (d + 1.0)))
-    cap = max(1, math.ceil(2.0 * d * d * max(lnvol - target, 1.0)))
     sigma_sqrt = math.sqrt(d * d / (d * d - 1.0))
     shrink = 1.0 - math.sqrt((d - 1.0) / (d + 1.0))
     collected: list[tuple[int, tuple[int, ...]]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    reason = "iteration-cap"
     iterations = 0
     obj_slack = epsilon / 16.0
     while True:
         if lnvol < target:
             reason = "volume"
-            break
-        if iterations >= cap:
-            reason = "iteration-cap"
             break
         alpha = center[:m]
         beta = center[m:]
@@ -443,13 +391,13 @@ def _build_conf_lp(
     instance: Instance,
     cols: list[tuple[int, tuple[int, ...]]],
     ln_shift: float,
-) -> tuple[LinearProgram, list[Fraction]]:
+) -> LinearProgram:
     n, m = instance.num_agents, instance.num_items
     agents_in = sorted({i for i, _ in cols})
-    values = [instance.bundle_value(i, items) for i, items in cols]
     objective = tuple(
-        float(instance.agents[i].weight) * (ln_shift + math.log(float(v)))
-        for (i, _), v in zip(cols, values)
+        float(instance.agents[i].weight)
+        * (ln_shift + math.log(float(instance.bundle_value(i, items))))
+        for i, items in cols
     )
     rows = []
     senses = []
@@ -463,28 +411,28 @@ def _build_conf_lp(
         rows.append(tuple(_ONE if j in s else _ZERO for s in item_sets))
         senses.append("<=")
         rhs.append(_ONE)
-    lp = LinearProgram(
+    return LinearProgram(
         objective=objective,
         rows=tuple(rows),
         senses=tuple(senses),
         rhs=tuple(rhs),
     )
-    return lp, values
 
 
 def _column_solution(
     instance: Instance,
-    cols: list[tuple[int, tuple[int, ...]]],
-    values: list[Fraction],
-    sol: LpSolution,
+    cols: Sequence[tuple[int, tuple[int, ...]]],
+    masses: Sequence[Fraction],
 ) -> ColumnSolution:
+    """The columns of positive mass, with lp_value restated in the original
+    value space of ``instance``."""
     columns = []
     mass = []
     lp_value = 0.0
-    assert sol.values is not None
-    for (i, items), v, y in zip(cols, values, sol.values):
+    for (i, items), y in zip(cols, masses):
         if y == 0:
             continue
+        v = instance.bundle_value(i, items)
         columns.append(Column(agent=i, items=items, value=v))
         mass.append(y)
         lp_value += (
@@ -521,7 +469,6 @@ def _augment_columns(
 def solve_restricted_primal(
     scaled: Instance,
     columns: Iterable[tuple[int, Sequence[int]]],
-    o: float,
     epsilon: float,
 ) -> ColumnSolution:
     """Solve the configuration LP restricted to the given columns.
@@ -532,17 +479,15 @@ def solve_restricted_primal(
     a positive item gets its best singleton added, so the per-agent mass
     constraint is always satisfiable.
     """
-    del o  # recorded by the caller; the LP itself does not need the guess
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
     cols = _augment_columns(scaled, columns)
     if not cols:
         raise Infeasible("no columns: no agent values any item")
-    lp, values = _build_conf_lp(scaled, cols, math.log1p(epsilon / 2.0))
-    sol = solve_lp(lp)
+    sol = solve_lp(_build_conf_lp(scaled, cols, math.log1p(epsilon / 2.0)))
     if sol.status != "optimal":
         raise Infeasible(f"restricted configuration LP is {sol.status}")
-    return _column_solution(scaled, cols, values, sol)
+    return _column_solution(scaled, cols, sol.values)
 
 
 FULL_ENUM_MAX_ITEMS = 12
@@ -558,7 +503,6 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
     if m > FULL_ENUM_MAX_ITEMS:
         raise TooLarge(f"m = {m} exceeds the full-enumeration guard")
     cols: list[tuple[int, tuple[int, ...]]] = []
-    col_values: list[Fraction] = []
     for i in range(n):
         agent = instance.agents[i]
         if agent.weight == 0:
@@ -571,18 +515,16 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
                 cols.append(
                     (i, tuple(j for j in range(m) if mask >> j & 1))
                 )
-                col_values.append(sums[mask])
     if not cols:
         raise Infeasible("no agent with positive weight values any item")
     covered = {i for i, _ in cols}
     for i in range(n):
         if instance.agents[i].weight > 0 and i not in covered:
             raise Infeasible(f"agent {i} has positive weight but no positive value")
-    lp, values = _build_conf_lp(instance, cols, 0.0)
-    sol = solve_lp(lp)
+    sol = solve_lp(_build_conf_lp(instance, cols, 0.0))
     if sol.status != "optimal":
         raise Infeasible(f"full configuration LP is {sol.status}")
-    return _column_solution(instance, cols, values, sol)
+    return _column_solution(instance, cols, sol.values)
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +593,10 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
                 hi = mid
             else:
                 lo = mid
-    work_sol = solve_restricted_primal(work, list(pool), b, eps_run)
+    work_sol = solve_restricted_primal(work, list(pool), eps_run)
     # Map agents back and restate the value in original space.
-    columns = []
-    mass = []
-    lp_value = 0.0
-    for col, y in zip(work_sol.columns, work_sol.mass):
-        i = active[col.agent]
-        v = instance.bundle_value(i, col.items)
-        columns.append(Column(agent=i, items=col.items, value=v))
-        mass.append(y)
-        lp_value += (
-            float(y)
-            * float(instance.agents[i].weight)
-            * math.log(float(instance.scales[i] * v))
-        )
-    return ColumnSolution(columns=tuple(columns), mass=tuple(mass), lp_value=lp_value)
+    return _column_solution(
+        instance,
+        [(active[col.agent], col.items) for col in work_sol.columns],
+        work_sol.mass,
+    )

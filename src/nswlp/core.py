@@ -105,9 +105,6 @@ class Instance:
     def num_agents(self) -> int:
         return len(self.agents)
 
-    def value(self, i: int, j: int) -> Fraction:
-        return self.agents[i].values[j]
-
     def bundle_value(self, i: int, items: Iterable[int]) -> Fraction:
         """Additive value of a bundle for agent i, in stored value space."""
         vals = self.agents[i].values

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .core import Instance, make_instance
 
 WEIGHT_DENOMINATOR = 2520  # lcm(1..10); keeps weight denominators small
+ZIPF_EXPONENT = 1.1
 
 
 def random_weights(n: int, rng: random.Random, kind: str = "uniform") -> list[Fraction]:
@@ -36,10 +37,10 @@ def random_weights(n: int, rng: random.Random, kind: str = "uniform") -> list[Fr
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def _zipf_value(rng: random.Random, vmax: int, exponent: float) -> int:
-    # P(rank r) ~ r^-exponent over r = 1..vmax+1; value = vmax + 1 - rank,
+def _zipf_value(rng: random.Random, vmax: int) -> int:
+    # P(rank r) ~ r^-ZIPF_EXPONENT over r = 1..vmax+1; value = vmax + 1 - rank,
     # so small values dominate and zero stays reachable.
-    weights = [(r + 1) ** -exponent for r in range(vmax + 1)]
+    weights = [(r + 1) ** -ZIPF_EXPONENT for r in range(vmax + 1)]
     total = sum(weights)
     u = rng.random() * total
     acc = 0.0
@@ -57,7 +58,6 @@ def random_instance(
     dist: str = "uniform",
     vmax: int = 10,
     weight_kind: str = "uniform",
-    zipf_exponent: float = 1.1,
 ) -> Instance:
     weights = random_weights(n, rng, weight_kind)
     values = []
@@ -65,7 +65,7 @@ def random_instance(
         if dist == "uniform":
             row = [rng.randint(0, vmax) for _ in range(m)]
         elif dist == "zipf":
-            row = [_zipf_value(rng, vmax, zipf_exponent) for _ in range(m)]
+            row = [_zipf_value(rng, vmax) for _ in range(m)]
         else:
             raise ValueError(f"unknown value distribution {dist!r}")
         values.append(row)

@@ -26,23 +26,19 @@ def parse_rational(x: Any) -> Fraction:
         raise InvalidInstance(f"bad rational {x!r}: {exc}") from exc
 
 
-def rational_str(q: Fraction) -> str:
-    return str(q)
-
-
 def instance_to_obj(instance: Instance) -> dict:
     obj: dict = {
         "num_items": instance.num_items,
         "agents": [
             {
-                "weight": rational_str(a.weight),
-                "values": [rational_str(v) for v in a.values],
+                "weight": str(a.weight),
+                "values": [str(v) for v in a.values],
             }
             for a in instance.agents
         ],
     }
     if any(s != 1 for s in instance.scales):
-        obj["scales"] = [rational_str(s) for s in instance.scales]
+        obj["scales"] = [str(s) for s in instance.scales]
     return obj
 
 
@@ -115,8 +111,3 @@ def save_instance(path: str, instance: Instance) -> None:
 def load_allocation(path: str) -> Allocation:
     with open(path, "r", encoding="utf-8") as fh:
         return allocation_from_obj(json.load(fh))
-
-
-def save_allocation(path: str, alloc: Allocation) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(allocation_to_obj(alloc)))

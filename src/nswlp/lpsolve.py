@@ -275,13 +275,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     status = t.run(t.obj, t.first_artificial)
     if status == "unbounded":
         return LpSolution("unbounded", None, float("inf"))
-    values = [_ZERO] * lp_num_vars(lp)
+    values = [_ZERO] * t.nv
     for r in range(nr):
-        if t.basis[r] < lp_num_vars(lp):
+        if t.basis[r] < t.nv:
             values[t.basis[r]] = t.xb[r]
     obj = sum(c * float(v) for c, v in zip(lp.objective, values))
     return LpSolution("optimal", tuple(values), obj)
-
-
-def lp_num_vars(lp: LinearProgram) -> int:
-    return len(lp.objective)

@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import Allocation, Infeasible, Instance, TooLarge, log_nsw
 
@@ -51,32 +53,17 @@ def brute_force_opt(instance: Instance) -> tuple[Allocation, float]:
     return Allocation(owner=tuple(best)), best_lw
 
 
-def _augment(i, adjacency, match_of_item, visited):
-    for j in adjacency[i]:
-        if j in visited:
-            continue
-        visited.add(j)
-        if match_of_item.get(j) is None or _augment(
-            match_of_item[j], adjacency, match_of_item, visited
-        ):
-            match_of_item[j] = i
-            return True
-    return False
-
-
 def positivity_check(instance: Instance) -> bool:
     """True iff the positive-weight agents can be matched to distinct items
     they value positively (so some allocation has positive welfare)."""
-    rows = [i for i, a in enumerate(instance.agents) if a.weight > 0]
-    adjacency = {
-        i: [j for j in range(instance.num_items) if instance.agents[i].values[j] > 0]
-        for i in rows
-    }
-    match_of_item: dict[int, int] = {}
-    for i in rows:
-        if not _augment(i, adjacency, match_of_item, set()):
-            return False
-    return True
+    support = csr_matrix(
+        np.array(
+            [[v > 0 for v in a.values] for a in instance.agents if a.weight > 0],
+            dtype=np.int8,
+        ).reshape(-1, instance.num_items)
+    )
+    match = maximum_bipartite_matching(support, perm_type="column")
+    return bool((match >= 0).all())
 
 
 def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:

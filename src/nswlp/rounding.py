@@ -11,10 +11,13 @@ envy-free up to one item across the combination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import (
     Allocation,
@@ -97,25 +100,6 @@ def build_groups(
     return groups
 
 
-def _perfect_matching(rows: list, adjacency: dict) -> Optional[dict]:
-    match_of_col: dict = {}
-
-    def augment(r, visited):
-        for c in adjacency[r]:
-            if c in visited:
-                continue
-            visited.add(c)
-            if c not in match_of_col or augment(match_of_col[c], visited):
-                match_of_col[c] = r
-                return True
-        return False
-
-    for r in rows:
-        if not augment(r, set()):
-            return None
-    return {r: c for c, r in match_of_col.items()}
-
-
 def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
     """Split the group-item fractional matching into integral matchings.
 
@@ -191,30 +175,43 @@ def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
             ri += 1
         if ci < len(dcols) and col_deficit[c] == 0:
             ci += 1
-    # Birkhoff-von-Neumann extraction on the padded square matrix.
-    padded_edges = sum(len(edges[rk]) for rk in row_keys)
+    # Birkhoff-von-Neumann extraction on the padded square matrix, indexed
+    # to ints once; each extraction hands only the support to the matcher.
+    col_of = {ck: c for c, ck in enumerate(col_keys)}
+    rest = [{col_of[ck]: frac for ck, frac in edges[rk].items()} for rk in row_keys]
+    group_of = [(rk[1], rk[2]) if rk[0] == "g" else None for rk in row_keys]
+    item_of = [ck[1] if ck[0] == "i" else None for ck in col_keys]
+    size = len(row_keys)
+    padded_edges = sum(len(row) for row in rest)
     matchings: list[Matching] = []
     weights: list[Fraction] = []
     remaining = _ONE
-    while any(edges[rk] for rk in row_keys):
-        adjacency = {rk: sorted(edges[rk]) for rk in row_keys}
-        pm = _perfect_matching(row_keys, adjacency)
-        if pm is None:
+    while any(rest):
+        indptr = [0]
+        indices: list[int] = []
+        for row in rest:
+            indices.extend(sorted(row))
+            indptr.append(len(indices))
+        support = csr_matrix(
+            (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(size, size)
+        )
+        match = maximum_bipartite_matching(support, perm_type="column").tolist()
+        if -1 in match:
             raise DecompositionFailure("no perfect matching in positive support")
-        lam = min(edges[rk][pm[rk]] for rk in row_keys)
+        lam = min(rest[r][c] for r, c in enumerate(match))
         real: Matching = {}
-        for rk, ck in pm.items():
-            if rk[0] == "g" and ck[0] == "i":
-                real[(rk[1], rk[2])] = ck[1]
+        for r, c in enumerate(match):
+            if group_of[r] is not None and item_of[c] is not None:
+                real[group_of[r]] = item_of[c]
         matchings.append(real)
         weights.append(lam)
         remaining -= lam
-        for rk, ck in pm.items():
-            left = edges[rk][ck] - lam
+        for r, c in enumerate(match):
+            left = rest[r][c] - lam
             if left == 0:
-                del edges[rk][ck]
+                del rest[r][c]
             else:
-                edges[rk][ck] = left
+                rest[r][c] = left
     if remaining != 0 or sum(weights, _ZERO) != 1:
         raise DecompositionFailure("extracted weights do not sum to 1")
     return MatchingCombination(
@@ -245,20 +242,18 @@ def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombinat
     return decompose(groups, x)
 
 
+def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation:
+    """Allocation of the first matching with the highest log welfare."""
+    return max(
+        (allocation_from_matching(mat, instance.num_items) for mat in comb.matchings),
+        key=lambda alloc: log_nsw(instance, alloc),
+    )
+
+
 def round_best(instance: Instance, y: ColumnSolution) -> Allocation:
     """Best allocation among the matchings of the convex combination.
 
     The weighted average of the matchings' log welfare already sits within
     1/e of the LP objective, so the argmax does too.
     """
-    comb = round_combination(instance, y)
-    best_alloc: Optional[Allocation] = None
-    best_lw = -math.inf
-    for matching in comb.matchings:
-        alloc = allocation_from_matching(matching, instance.num_items)
-        lw = log_nsw(instance, alloc)
-        if best_alloc is None or lw > best_lw:
-            best_alloc = alloc
-            best_lw = lw
-    assert best_alloc is not None
-    return best_alloc
+    return best_allocation(instance, round_combination(instance, y))

@@ -67,6 +67,46 @@ def cover_by_enumeration(units, costs, target):
     return best
 
 
+def knapsack_cover(units, costs, target):
+    """Min-cost item set whose unit values sum to at least ``target``.
+
+    Exact DP over (item prefix, covered units capped at target).  Returns
+    the chosen item indices, or None when even all items fall short.
+    """
+    z = [int(t) for t in units]
+    if target <= 0:
+        return []
+    if sum(z) < target:
+        return None
+    inf = math.inf
+    layer = [0.0] + [inf] * target
+    layers = [layer]
+    parents: list[list[int]] = []
+    for zk, ck in zip(z, costs):
+        prev = layers[-1]
+        cur = list(prev)
+        par = [-1] * (target + 1)
+        for t in range(target + 1):
+            if prev[t] == inf:
+                continue
+            t2 = min(t + zk, target)
+            cand = prev[t] + ck
+            if cand < cur[t2]:
+                cur[t2] = cand
+                par[t2] = t
+        layers.append(cur)
+        parents.append(par)
+    chosen = []
+    t = target
+    for k in range(len(z) - 1, -1, -1):
+        if layers[k + 1][t] == layers[k][t]:
+            continue
+        chosen.append(k)
+        t = parents[k][t]
+    chosen.reverse()
+    return chosen
+
+
 def solve_square_exact(rows, rhs):
     """Fraction Gaussian elimination; None when singular."""
     n = len(rows)

@@ -12,7 +12,6 @@ from nswlp import (
     brute_force_opt,
     ellipsoid_run,
     full_enumeration_lp,
-    knapsack_cover,
     make_instance,
     scale_values,
     separation_oracle,
@@ -24,6 +23,7 @@ from nswlp.gen import random_solvable_instance
 from conftest import (
     cover_by_enumeration,
     exhaustive_dual_violation,
+    knapsack_cover,
 )
 
 mpmath.mp.dps = 60
@@ -174,7 +174,7 @@ def test_ellipsoid_low_guess_collects_columns_or_ends_feasible():
     assert run.reason in ("volume", "flat", "feasible-center")
     if run.reason != "feasible-center":
         assert (0, (0,)) in run.columns
-    sol = solve_restricted_primal(work, list(run.columns), -1.0, 0.1)
+    sol = solve_restricted_primal(work, list(run.columns), 0.1)
     assert sol.lp_value >= -1.0 - 0.1
 
 
@@ -230,7 +230,7 @@ def test_ellipsoid_rejects_unscaled_values():
 
 def test_restricted_primal_single_column():
     inst = make_instance(["1"], [[2, 3]])
-    sol = solve_restricted_primal(inst, [(0, (0, 1))], 0.0, 0.1)
+    sol = solve_restricted_primal(inst, [(0, (0, 1))], 0.1)
     assert sol.lp_value == pytest.approx(math.log(5))
     assert [(c.agent, c.items) for c in sol.columns] == [(0, (0, 1))]
     assert sol.mass == (Fraction(1),)
@@ -239,7 +239,7 @@ def test_restricted_primal_single_column():
 def test_restricted_primal_two_agents_singletons():
     inst = make_instance(["1/2", "1/2"], [[2, 2], [2, 2]])
     cols = [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]
-    sol = solve_restricted_primal(inst, cols, 0.0, 0.1)
+    sol = solve_restricted_primal(inst, cols, 0.1)
     assert sol.lp_value == pytest.approx(math.log(2))
     per_agent = {0: Fraction(0), 1: Fraction(0)}
     per_item = {0: Fraction(0), 1: Fraction(0)}
@@ -257,7 +257,7 @@ def test_restricted_primal_respects_item_capacity_exactly():
     )
     cols = [(i, (j,)) for i in range(3) for j in range(3)]
     cols += [(i, (0, 1)) for i in range(3)]
-    sol = solve_restricted_primal(inst, cols, 0.0, 0.1)
+    sol = solve_restricted_primal(inst, cols, 0.1)
     item_mass = {j: Fraction(0) for j in range(3)}
     agent_mass = {i: Fraction(0) for i in range(3)}
     for col, y in zip(sol.columns, sol.mass):

@@ -22,6 +22,13 @@ from nswlp import jsonio
 from conftest import ef1_by_quantifiers
 
 
+def test_every_exported_name_resolves():
+    import nswlp
+
+    missing = [name for name in nswlp.__all__ if not hasattr(nswlp, name)]
+    assert missing == []
+
+
 def test_validate_minimal_instance():
     validate(make_instance(["1"], [[5]]))
 

@@ -59,6 +59,16 @@ def test_positivity_ignores_zero_weight_agents():
     assert positivity_check(inst) is True
 
 
+def test_positivity_long_augmenting_chain():
+    # Agent i < n values items i and i+1; the last agent values only item 0,
+    # so matching it shifts every other agent along an n-long path.
+    n = 1100
+    values = [[1 if j in (i, i + 1) else 0 for j in range(n + 1)] for i in range(n)]
+    values.append([1] + [0] * n)
+    inst = make_instance([Fraction(1, n + 1)] * (n + 1), values)
+    assert positivity_check(inst) is True
+
+
 def test_positivity_false_means_zero_welfare_everywhere():
     rng = random.Random(33)
     found = 0

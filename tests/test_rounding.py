@@ -171,6 +171,18 @@ def test_decompose_two_overlapping_groups():
     combination_marginals_exact(groups, comb)
 
 
+def test_decompose_long_chain_without_recursion_limit():
+    # Augmenting paths here run the length of the chain, past the
+    # interpreter's recursion limit.
+    n = 1100
+    groups = {i: [{i: F(1, 2), i + 1: F(1, 2)}] for i in range(n)}
+    x = [[F(0)] * (n + 1) for _ in range(n)]
+    for i in range(n):
+        x[i][i] = x[i][i + 1] = F(1, 2)
+    comb = decompose(groups, x)
+    assert sum(comb.weights, F(0)) == 1
+
+
 def test_decompose_single_full_group():
     inst = make_instance(["1"], [[1]])
     groups = {0: [{0: F(1)}]}

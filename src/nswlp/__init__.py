@@ -1,6 +1,6 @@
 """Weighted Nash social welfare solver.
 
-Approximation pipeline: configuration LP (ellipsoid over the dual with a
+Approximation pipeline: configuration LP (column generation priced by a
 knapsack-cover separation oracle) followed by value-ordered group rounding
 with an exact convex decomposition into matchings.  Reference solvers
 (brute force, positivity matching, one-item assignment baseline) certify

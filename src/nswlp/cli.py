@@ -1,7 +1,7 @@
 """Command-line surface: solve, exact, verify, gen, bench.
 
 Exit codes: 0 success, 2 invalid input or guard violation, 3 no allocation
-with positive welfare exists, 4 numerical collapse in the ellipsoid.
+with positive welfare exists, 4 numerical failure in the LP driver.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Configuration LP solver for weighted Nash social welfare.
 
-The LP has one variable y[i,S] per agent/bundle pair, so it is solved
-through its dual: a central-cut ellipsoid method asks a knapsack-cover
-separation oracle for violated bundle constraints, and the bundles behind
-the cuts become the columns of a small restricted primal.  A one-item
-assignment baseline brackets the optimum within ln(m), which yields the
-grid of objective guesses the ellipsoid runs against.
+The LP has one variable y[i,S] per agent/bundle pair, so it is solved by
+column generation: a small restricted primal over a pool of bundles is
+solved in doubles (HiGHS) for its duals, and a knapsack-cover separation
+oracle prices a violated bundle constraint at those duals; the bundle
+joins the pool until none is left.  The final pool is solved exactly.
+The central-cut ellipsoid over the dual, the source paper's
+polynomial-time method, is kept as a reference (``ellipsoid_run``).
 
-All bundle data stays rational; the ellipsoid and the objective work in
-doubles.
+All bundle data and the final LP vertex stay rational; logarithms, the
+LP duals and the ellipsoid work in doubles.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _FINITE_CHECK_PERIOD = 64
+
+# Shift on beta when pricing against HiGHS duals.  Pooled basic columns have
+# zero reduced cost, so without it float noise re-prices them; it must not
+# be smaller than HiGHS's dual feasibility tolerance (1e-7).
+_PRICE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -282,9 +288,6 @@ def ellipsoid_run(
     scaled: Instance,
     o: float,
     epsilon: float,
-    *,
-    _plans: Optional[list[_AgentPlan]] = None,
-    _box_scale: float = 1.0,
 ) -> EllipsoidRun:
     """Central-cut ellipsoid over the dual in dimension n + m.
 
@@ -296,14 +299,14 @@ def ellipsoid_run(
     ellipsoid's support along a violated constraint's normal no longer
     reaches that constraint's feasible side (flat).
     """
-    plans = _plans if _plans is not None else _build_plans(scaled, epsilon)
+    plans = _build_plans(scaled, epsilon)
     n, m = scaled.num_agents, scaled.num_items
     d = n + m
     ln_slack = math.log1p(epsilon / 2.0)
     vmax = max(float(max(a.values)) for a in scaled.agents)
     vmax = max(vmax, 1.0)
     # Box from the dual bound ln(m vmax^2), with headroom.
-    span = (math.log(m * vmax * vmax) + 1.0) * _box_scale
+    span = math.log(m * vmax * vmax) + 1.0
     center = np.concatenate([np.full(m, span / 2.0), np.zeros(n)])
     semiaxes = np.concatenate(
         [np.full(m, span / 2.0), np.full(n, span)]
@@ -534,66 +537,89 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
 def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution:
     """Solve the configuration LP within an additive gap of ln(1+epsilon).
 
-    Values are scaled so each agent's minimum positive value is 1, a
-    one-item assignment gives the baseline b with b <= lp <= b + ln(m), and
-    ellipsoid feasibility runs over a grid of objective guesses collect the
-    columns of a restricted primal.  The guesses are probed by bisection on
-    the run outcome: a feasible center at o certifies lp is essentially
-    below o, a volume exhaustion at o certifies the collected columns carry
-    value essentially o, so the top of the sandwich is found with
-    O(log(log(m)/eps)) runs.  All probed columns are pooled into one final
-    restricted primal, whose value can only beat the per-run bound.
+    Column generation (Gilmore & Gomory) on the restricted primal: values
+    are scaled so each agent's minimum positive value is 1, and the pool
+    starts from the one-item assignment baseline's singletons plus every
+    agent's best singleton.  Each round solves the pool's LP in doubles
+    with HiGHS for the duals (alpha per item, beta per agent) and asks the
+    knapsack-cover oracle for a violated bundle constraint at
+    (alpha, beta + _PRICE_TOL); the bundle it returns joins the pool.  When
+    the oracle finds none, the shifted duals are feasible, so the certified
+    bound on the LP optimum is sum(alpha) + sum(beta) + n * _PRICE_TOL, and
+    the pool's value is within ln(1+eps/2) + n * _PRICE_TOL of it.  The
+    final pool is solved again by the exact rational simplex, so the
+    returned masses are exactly feasible.
+
+    Raises NumericalCollapse when HiGHS does not report an optimum or the
+    oracle re-prices a pooled column: the doubles can then no longer tell
+    the pool from a new column.
     """
+    from scipy.optimize import linprog
+
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
     validate(instance)
-    # Headroom for the grid/oracle split; large epsilon gains nothing.
+    # Headroom for the oracle's rounding; large epsilon gains nothing.
     eps_run = min(epsilon, 0.25)
+    ln_slack = math.log1p(eps_run / 2.0)
     scaled = scale_values(instance)
     active = [i for i in range(instance.num_agents) if instance.agents[i].weight > 0]
     work = Instance(
         num_items=instance.num_items,
         agents=tuple(scaled.agents[i] for i in active),
     )
-    base_alloc, b = assignment_baseline(work)
-    pool: dict[tuple[int, tuple[int, ...]], None] = {}
-    for j, owner in enumerate(base_alloc.owner):
-        if owner is not None:
-            pool.setdefault((owner, (j,)))
+    # The baseline gives every agent a positive item (or raises Infeasible),
+    # so every agent has a column and a row, as in _build_conf_lp.
+    base_alloc, _ = assignment_baseline(work)
+    cols = _augment_columns(
+        work,
+        [(owner, (j,)) for j, owner in enumerate(base_alloc.owner) if owner is not None],
+    )
     plans = _build_plans(work, eps_run)
-    m = instance.num_items
-    step = eps_run / 4.0
-    top = max(0, math.ceil(math.log(m) / step)) if m > 1 else 0
+    n, m = work.num_agents, work.num_items
+    # Per column, cached once: negated objective, item and agent incidence.
+    neg_obj: list[float] = []
+    item_inc: list[np.ndarray] = []
+    agent_inc: list[np.ndarray] = []
 
-    def probe(k: int) -> str:
-        last_exc: Optional[NumericalCollapse] = None
-        for box in (1.0, 2.0):
-            try:
-                run = ellipsoid_run(
-                    work, b + k * step, eps_run, _plans=plans, _box_scale=box
-                )
-            except NumericalCollapse as exc:
-                last_exc = exc
-                continue
-            for key in run.columns:
-                pool.setdefault(key)
-            return run.reason
-        assert last_exc is not None
-        raise last_exc
+    def add(key: tuple[int, tuple[int, ...]]) -> None:
+        i, items = key
+        neg_obj.append(
+            -float(work.agents[i].weight)
+            * (ln_slack + math.log(float(work.bundle_value(i, items))))
+        )
+        col = np.zeros(m)
+        col[list(items)] = 1.0
+        item_inc.append(col)
+        col = np.zeros(n)
+        col[i] = 1.0
+        agent_inc.append(col)
 
-    if probe(top) != "feasible-center" or top == 0:
-        pass  # volume at the top certifies the pool immediately
-    elif probe(0) == "feasible-center":
-        pass  # lp sits at the baseline; its singletons are in the pool
-    else:
-        lo, hi = 0, top
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if probe(mid) == "feasible-center":
-                hi = mid
-            else:
-                lo = mid
-    work_sol = solve_restricted_primal(work, list(pool), eps_run)
+    pool = set(cols)
+    for key in cols:
+        add(key)
+    while True:
+        res = linprog(
+            np.asarray(neg_obj),
+            A_ub=np.column_stack(item_inc),
+            b_ub=np.ones(m),
+            A_eq=np.column_stack(agent_inc),
+            b_eq=np.ones(n),
+            method="highs",
+        )
+        if res.status != 0:
+            raise NumericalCollapse(f"LP duals unavailable: {res.message}")
+        alpha = np.maximum(-res.ineqlin.marginals, 0.0)
+        beta = -res.eqlin.marginals
+        found = _oracle_query(plans, alpha, beta + _PRICE_TOL, ln_slack)
+        if found is None:
+            break
+        if found in pool:
+            raise NumericalCollapse("LP duals lost precision: pooled column re-priced")
+        pool.add(found)
+        cols.append(found)
+        add(found)
+    work_sol = solve_restricted_primal(work, cols, eps_run)
     # Map agents back and restate the value in original space.
     return _column_solution(
         instance,

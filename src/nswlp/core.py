@@ -45,7 +45,8 @@ class Infeasible(RuntimeError):
 
 
 class NumericalCollapse(RuntimeError):
-    """The ellipsoid matrix lost positive definiteness in double precision."""
+    """Double precision failed: the LP duals no longer separate the column
+    pool, or the reference ellipsoid's matrix lost positive definiteness."""
 
 
 class DecompositionFailure(RuntimeError):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from nswlp.cli import main
-from nswlp import jsonio, make_instance, nsw
+from nswlp import configlp, jsonio, make_instance, nsw
 
 
 def write_instance(path, weights, values):
@@ -201,3 +201,12 @@ def test_bench_parallel_matches_serial(tmp_path):
         return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
 
     assert strip_runtime(a.read_text()) == strip_runtime(b.read_text())
+
+
+def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    inst_path = tmp_path / "i.json"
+    write_instance(inst_path, ["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    monkeypatch.setattr(configlp, "_oracle_query", lambda *args: (0, (0,)))
+    code = main(["solve", str(inst_path), "-o", str(tmp_path / "a.json")])
+    assert code == 4
+    assert "pooled column re-priced" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from nswlp import (
     DualPoint,
     Instance,
+    NumericalCollapse,
     TooLarge,
     brute_force_opt,
     ellipsoid_run,
@@ -18,6 +19,7 @@ from nswlp import (
     solve_configuration_lp,
     solve_restricted_primal,
 )
+from nswlp import configlp
 from nswlp.configlp import _sweep
 from nswlp.gen import random_solvable_instance
 from conftest import (
@@ -346,18 +348,44 @@ def test_solve_lp_epsilon_out_of_range():
         solve_configuration_lp(inst, 1.5)
 
 
+# Identical and near-identical valuations with n close to m.  Random draws
+# almost always have an integral LP optimum; here the optimum is degenerate
+# (identical rows) or strictly fractional (the last three instances have an
+# integrality gap against brute force), which is where column generation
+# must still reach the exact LP.
+FRACTIONAL_FAMILY = [
+    (["1/2", "1/2"], [[9, 6, 9]] * 2),
+    (["1/3", "2/3"], [[3, 2, 1], [3, 1, 2]]),
+    (["1/3"] * 3, [[7, 7, 1, 8]] * 3),
+    (["1/3"] * 3, [[4, 3, 2, 1], [4, 3, 2, 2], [4, 3, 1, 1]]),
+    (["1/3"] * 3, [[6, 5, 6, 5, 7]] * 3),
+    (["1/3"] * 3, [[3, 8, 10, 2, 3], [1, 8, 10, 4, 2], [3, 10, 10, 4, 4]]),
+    (["1/3"] * 3, [[5, 5, 8, 4, 6], [4, 5, 8, 2, 6], [4, 3, 8, 6, 5]]),
+    (["1/3"] * 3, [[9, 6, 0, 10, 4], [9, 4, 0, 7, 6], [6, 2, 0, 8, 5]]),
+]
+
+
 def test_solve_lp_within_band_of_exact_lp():
     rng = random.Random(41)
+    epsilons = [0.1, 0.25, 0.5, 1.0]
+    cases = []
     for k in range(25):
         n = rng.randint(1, 3)
         m = rng.randint(max(2, n), 7)
         dist = "zipf" if k % 3 == 0 else "uniform"
         inst = random_solvable_instance(n, m, rng, dist=dist)
-        eps = rng.choice([0.1, 0.25, 0.5, 1.0])
+        cases.append((inst, rng.choice(epsilons)))
+    for k, (weights, values) in enumerate(FRACTIONAL_FAMILY):
+        cases.append((make_instance(weights, values), epsilons[k % 4]))
+    fractional = 0
+    for inst, eps in cases:
         sol = solve_configuration_lp(inst, eps)
         exact = full_enumeration_lp(inst).lp_value
+        n, m = inst.num_agents, inst.num_items
         assert sol.lp_value >= exact - math.log1p(eps), (n, m, eps)
         assert sol.lp_value <= exact + 1e-9
+        fractional += any(0 < y < 1 for y in sol.mass)
+    assert fractional >= 1
 
 
 def test_solve_lp_mass_invariants_exact():
@@ -387,3 +415,24 @@ def test_solve_lp_zero_weight_agent_gets_nothing():
     sol = solve_configuration_lp(inst, 0.1)
     assert all(c.agent == 0 for c in sol.columns)
     assert sol.lp_value == pytest.approx(math.log(5))
+
+
+def test_solve_lp_repriced_pooled_column_raises(monkeypatch):
+    # Agent 0's best singleton is always pooled; an oracle that prices it
+    # again would loop forever without the guard.
+    inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    monkeypatch.setattr(configlp, "_oracle_query", lambda *args: (0, (0,)))
+    with pytest.raises(NumericalCollapse, match="pooled column re-priced"):
+        solve_configuration_lp(inst, 0.1)
+
+
+def test_solve_lp_highs_failure_raises(monkeypatch):
+    import scipy.optimize
+
+    def failing(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    with pytest.raises(NumericalCollapse, match="numerical difficulties"):
+        solve_configuration_lp(inst, 0.1)

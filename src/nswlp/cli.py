@@ -256,6 +256,9 @@ def cmd_bench(args) -> int:
     except (InvalidInstance, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NumericalCollapse as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COLLAPSE
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["instance", "opt", "lp", "alg", "ratio", "runtime_ms"]

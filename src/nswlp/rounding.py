@@ -2,15 +2,18 @@
 
 Per agent, the fractional items are sliced into unit-mass groups in
 non-increasing value order; the group-item fractional matching is then
-split exactly into a convex combination of partial matchings (dummy-padded
-Birkhoff-von-Neumann extraction in rational arithmetic), and the best
-matching's allocation is returned.  Groups of full mass are matched in
-every extracted matching, which is what makes the per-agent bundles
-envy-free up to one item across the combination.
+split exactly into a convex combination of partial matchings, and the best
+matching's allocation is returned.  The split pads the matrix to a doubly
+stochastic square and checks it in ``Fraction`` arithmetic, then runs the
+Birkhoff-von-Neumann extraction on exact integers: the padded masses times
+their common denominator D.  Groups of full mass are matched in every
+extracted matching, which is what makes the per-agent bundles envy-free up
+to one item across the combination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +27,6 @@ from .core import (
     DecompositionFailure,
     EmptyAgent,
     Instance,
-    log_nsw,
 )
 from .configlp import ColumnSolution
 
@@ -41,6 +43,9 @@ Matching = dict[tuple[int, int], int]  # (agent, group index) -> item
 class MatchingCombination:
     """Convex combination of partial group-item matchings with exact
     rational weights summing to one.
+
+    Each weight is an integer extraction step over the common denominator
+    D of the padded masses, returned as a reduced ``Fraction``.
 
     ``padded_edges`` counts the positive entries of the doubly stochastic
     matrix the decomposition ran on; the number of matchings never exceeds
@@ -65,7 +70,7 @@ def marginals(y: ColumnSolution, n: int, m: int) -> list[list[Fraction]]:
 def item_order(instance: Instance, i: int) -> list[int]:
     """Items sorted by non-increasing v_ij, ties by smaller index."""
     vals = instance.agents[i].values
-    return sorted(range(instance.num_items), key=lambda j: (-vals[j], j))
+    return sorted(range(instance.num_items), key=vals.__getitem__, reverse=True)
 
 
 def build_groups(
@@ -100,14 +105,19 @@ def build_groups(
     return groups
 
 
-def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
-    """Split the group-item fractional matching into integral matchings.
+Cell = tuple[int, int, Fraction]  # (padded row, padded column, mass)
 
-    The bipartite mass matrix is padded to a doubly stochastic square: a
-    dummy item per deficient group, a dummy group per deficient item, and a
-    northwest-corner filler block between the dummies.  Perfect matchings on
-    the positive support are extracted with the minimum edge mass as weight
-    until nothing remains; dummy vertices are stripped from the output.
+
+def pad_square(
+    groups: GroupSet, x: list[list[Fraction]]
+) -> tuple[list[Cell], list[Optional[tuple[int, int]]], list[Optional[int]]]:
+    """Pad the group-item mass matrix to a doubly stochastic square.
+
+    Adds a dummy item per deficient group, a dummy group per deficient item,
+    and a northwest-corner filler block between the dummies, all in
+    ``Fraction`` arithmetic.  Returns the positive cells sorted by (row,
+    column), the (agent, group index) of each row and the item of each
+    column, None for dummies.
     """
     m = len(x[0]) if x else 0
     edges: dict = {}
@@ -175,49 +185,65 @@ def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
             ri += 1
         if ci < len(dcols) and col_deficit[c] == 0:
             ci += 1
-    # Birkhoff-von-Neumann extraction on the padded square matrix, indexed
-    # to ints once; each extraction hands only the support to the matcher.
     col_of = {ck: c for c, ck in enumerate(col_keys)}
-    rest = [{col_of[ck]: frac for ck, frac in edges[rk].items()} for rk in row_keys]
+    cells = sorted(
+        (r, col_of[ck], frac)
+        for r, rk in enumerate(row_keys)
+        for ck, frac in edges[rk].items()
+    )
     group_of = [(rk[1], rk[2]) if rk[0] == "g" else None for rk in row_keys]
     item_of = [ck[1] if ck[0] == "i" else None for ck in col_keys]
-    size = len(row_keys)
-    padded_edges = sum(len(row) for row in rest)
+    return cells, group_of, item_of
+
+
+def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
+    """Split the group-item fractional matching into integral matchings.
+
+    The matrix is padded and checked by :func:`pad_square`, then scaled once
+    by the common denominator D of its masses, so every edge weight is an
+    exact int.  Perfect matchings on the positive support are extracted with
+    the minimum edge weight until nothing remains; each weight is that
+    minimum over D, and dummy vertices are stripped from the output.
+    """
+    cells, group_of, item_of = pad_square(groups, x)
+    size = len(group_of)
+    denom = math.lcm(*(frac.denominator for _, _, frac in cells))
+    er = np.array([r for r, _, _ in cells], dtype=np.int64)
+    ec = np.array([c for _, c, _ in cells], dtype=np.int64)
+    ew = np.array(
+        [frac.numerator * (denom // frac.denominator) for _, _, frac in cells],
+        dtype=object,
+    )
+    rows = np.arange(size, dtype=np.int64)
+    bounds = np.arange(size + 1, dtype=np.int64)
     matchings: list[Matching] = []
-    weights: list[Fraction] = []
-    remaining = _ONE
-    while any(rest):
-        indptr = [0]
-        indices: list[int] = []
-        for row in rest:
-            indices.extend(sorted(row))
-            indptr.append(len(indices))
+    lams: list[int] = []
+    while len(ew):
         support = csr_matrix(
-            (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(size, size)
+            (np.ones(len(ec), dtype=np.int8), ec, np.searchsorted(er, bounds)),
+            shape=(size, size),
         )
-        match = maximum_bipartite_matching(support, perm_type="column").tolist()
-        if -1 in match:
+        match = maximum_bipartite_matching(support, perm_type="column")
+        if (match == -1).any():
             raise DecompositionFailure("no perfect matching in positive support")
-        lam = min(rest[r][c] for r, c in enumerate(match))
+        # Edges stay sorted by (row, column), so their keys are sorted too.
+        pos = np.searchsorted(er * size + ec, rows * size + match)
+        lam = ew[pos].min()
         real: Matching = {}
-        for r, c in enumerate(match):
+        for r, c in enumerate(match.tolist()):
             if group_of[r] is not None and item_of[c] is not None:
                 real[group_of[r]] = item_of[c]
         matchings.append(real)
-        weights.append(lam)
-        remaining -= lam
-        for r, c in enumerate(match):
-            left = rest[r][c] - lam
-            if left == 0:
-                del rest[r][c]
-            else:
-                rest[r][c] = left
-    if remaining != 0 or sum(weights, _ZERO) != 1:
+        lams.append(lam)
+        ew[pos] -= lam
+        alive = ew != 0
+        er, ec, ew = er[alive], ec[alive], ew[alive]
+    if sum(lams) != denom:
         raise DecompositionFailure("extracted weights do not sum to 1")
     return MatchingCombination(
         matchings=tuple(matchings),
-        weights=tuple(weights),
-        padded_edges=padded_edges,
+        weights=tuple(Fraction(lam, denom) for lam in lams),
+        padded_edges=len(cells),
     )
 
 
@@ -243,11 +269,35 @@ def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombinat
 
 
 def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation:
-    """Allocation of the first matching with the highest log welfare."""
-    return max(
-        (allocation_from_matching(mat, instance.num_items) for mat in comb.matchings),
-        key=lambda alloc: log_nsw(instance, alloc),
-    )
+    """Allocation of the first matching with the highest log welfare.
+
+    Each term equals the one :func:`log_nsw` computes: bundle sums are exact
+    ints over each agent's common value denominator, and int true division
+    rounds correctly, as ``float`` of a ``Fraction`` does.
+    """
+    terms = []  # (agent, weight, int values, numerator, denominator)
+    for i, (agent, scale) in enumerate(zip(instance.agents, instance.scales)):
+        if agent.weight == 0:
+            continue
+        d = math.lcm(*(v.denominator for v in agent.values))
+        ints = [v.numerator * (d // v.denominator) for v in agent.values]
+        terms.append(
+            (i, float(agent.weight), ints, scale.numerator, scale.denominator * d)
+        )
+    best, best_lw = None, -math.inf
+    for mat in comb.matchings:
+        alloc = allocation_from_matching(mat, instance.num_items)
+        bundles = alloc.bundles(instance.num_agents)
+        lw = 0.0
+        for i, w, ints, num, den in terms:
+            s = sum(ints[j] for j in bundles[i])
+            if s == 0:
+                lw = -math.inf
+                break
+            lw += w * math.log((num * s) / den)
+        if best is None or lw > best_lw:
+            best, best_lw = alloc, lw
+    return best
 
 
 def round_best(instance: Instance, y: ColumnSolution) -> Allocation:

@@ -107,6 +107,52 @@ def knapsack_cover(units, costs, target):
     return chosen
 
 
+def fraction_extraction(groups, x):
+    """Birkhoff-von-Neumann extraction on ``pad_square``'s matrix, all in
+    ``Fraction`` arithmetic: the reference for ``decompose``'s integer path.
+
+    Returns (matchings, weights, padded_edges) like ``MatchingCombination``.
+    """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    from nswlp.rounding import pad_square
+
+    cells, group_of, item_of = pad_square(groups, x)
+    size = len(group_of)
+    rest = [{} for _ in range(size)]
+    for r, c, frac in cells:
+        rest[r][c] = frac
+    matchings, weights = [], []
+    while any(rest):
+        indptr = [0]
+        indices = []
+        for row in rest:
+            indices.extend(sorted(row))
+            indptr.append(len(indices))
+        support = csr_matrix(
+            (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(size, size)
+        )
+        match = maximum_bipartite_matching(support, perm_type="column").tolist()
+        assert -1 not in match
+        lam = min(rest[r][c] for r, c in enumerate(match))
+        real = {}
+        for r, c in enumerate(match):
+            if group_of[r] is not None and item_of[c] is not None:
+                real[group_of[r]] = item_of[c]
+        matchings.append(real)
+        weights.append(lam)
+        for r, c in enumerate(match):
+            left = rest[r][c] - lam
+            if left == 0:
+                del rest[r][c]
+            else:
+                rest[r][c] = left
+    assert sum(weights, Fraction(0)) == 1
+    return tuple(matchings), tuple(weights), len(cells)
+
+
 def solve_square_exact(rows, rhs):
     """Fraction Gaussian elimination; None when singular."""
     n = len(rows)

@@ -210,3 +210,14 @@ def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["solve", str(inst_path), "-o", str(tmp_path / "a.json")])
     assert code == 4
     assert "pooled column re-priced" in capsys.readouterr().err
+
+
+def test_bench_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    write_instance(d / "i.json", ["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    monkeypatch.setattr(configlp, "_oracle_query", lambda *args: (0, (0,)))
+    code = main(["bench", str(d), "-o", str(tmp_path / "b.csv")])
+    assert code == 4
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()

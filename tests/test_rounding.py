@@ -19,8 +19,9 @@ from nswlp import (
     solve_configuration_lp,
 )
 from nswlp.configlp import Column, ColumnSolution
-from nswlp.rounding import item_order
+from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
+    fraction_extraction,
     positive_instance,
     random_column_solution,
     random_feasible_marginals,
@@ -143,6 +144,14 @@ def test_groups_random_marginals(rng):
             groups_obey_invariants(inst, x, i, build_groups(inst, x, i))
 
 
+def test_item_order_matches_negated_key_on_ties(rng):
+    for _ in range(100):
+        m = rng.randint(1, 30)
+        row = [F(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2])) for _ in range(m)]
+        inst = make_instance(["1"], [row])
+        assert item_order(inst, 0) == sorted(range(m), key=lambda j: (-row[j], j))
+
+
 # -- decomposition ---------------------------------------------------------------
 
 
@@ -230,6 +239,56 @@ def test_decompose_random_marginals(rng):
         combination_marginals_exact(groups, comb)
         full_groups_always_matched(groups, comb)
         assert len(comb.matchings) <= comb.padded_edges + 1
+
+
+def marginal_groups(inst, x):
+    n = len(x)
+    return {i: build_groups(inst, x, i) for i in range(n) if sum(x[i], F(0)) > 0}
+
+
+def test_decompose_matches_fraction_reference(rng):
+    checked = 0
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 12)
+        inst = positive_instance(rng, n, m)
+        x = random_feasible_marginals(rng, n, m, denom=rng.choice([6, 12, 35, 60]))
+        groups = marginal_groups(inst, x)
+        if not groups:
+            continue
+        comb = decompose(groups, x)
+        assert (comb.matchings, comb.weights, comb.padded_edges) == (
+            fraction_extraction(groups, x)
+        )
+        checked += 1
+    assert checked > 100
+
+
+LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1, 10**9 + 9)
+
+
+def test_decompose_exact_with_denominators_beyond_int64(rng):
+    n, m = 3, len(LARGE_PRIMES)
+    inst = positive_instance(rng, n, m)
+    x = [[F(0)] * m for _ in range(n)]
+    for j, p in enumerate(LARGE_PRIMES):
+        cuts = sorted(rng.randrange(1, p) for _ in range(n))
+        for i in range(n):
+            x[i][j] = F(cuts[i] - (cuts[i - 1] if i else 0), p)
+    groups = marginal_groups(inst, x)
+    cells, _, _ = pad_square(groups, x)
+    assert math.lcm(*(frac.denominator for _, _, frac in cells)) > 2**64
+    comb = decompose(groups, x)
+    assert sum(comb.weights, F(0)) == 1
+    assert all(isinstance(lam, Fraction) and lam > 0 for lam in comb.weights)
+    for mat in comb.matchings:
+        assert len(set(mat.values())) == len(mat)
+        for (i, t), j in mat.items():
+            assert groups[i][t].get(j, 0) > 0
+    combination_marginals_exact(groups, comb)
+    full_groups_always_matched(groups, comb)
+    assert (comb.matchings, comb.weights, comb.padded_edges) == (
+        fraction_extraction(groups, x)
+    )
 
 
 # -- allocation and selection -----------------------------------------------------
@@ -323,6 +382,69 @@ def test_per_agent_average_meets_lp_share(rng):
             if dead:
                 continue
             assert avg >= share - 1 / math.e - 1e-9
+
+
+def random_matchings(rng, n, m, count):
+    out = []
+    for _ in range(count):
+        items = rng.sample(range(m), rng.randint(0, m))
+        out.append({(rng.randrange(n), t): j for t, j in enumerate(items)})
+    return out
+
+
+def by_log_nsw(inst, comb):
+    return max(
+        (allocation_from_matching(mat, inst.num_items) for mat in comb.matchings),
+        key=lambda alloc: log_nsw(inst, alloc),
+    )
+
+
+def test_best_allocation_matches_log_nsw_argmax(rng):
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 8)
+        weights = [F(rng.randint(0, 3)) for _ in range(n)]
+        if sum(weights) == 0:
+            weights[0] = F(1)
+        total = sum(weights)
+        weights = [w / total for w in weights]
+        values = [
+            [F(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(m)]
+            for _ in range(n)
+        ]
+        scales = [F(rng.randint(1, 10**6), rng.randint(1, 10**3)) for _ in range(n)]
+        inst = make_instance(weights, values, scales)
+        comb = MatchingCombination(
+            matchings=tuple(random_matchings(rng, n, m, rng.randint(1, 12))),
+            weights=(),
+            padded_edges=0,
+        )
+        assert best_allocation(inst, comb).owner == by_log_nsw(inst, comb).owner
+
+
+def test_best_allocation_first_of_exact_ties():
+    inst = make_instance(
+        ["0", "1/2", "1/2"],
+        [[9, 9, 9], ["3/2", "5/2", 1], ["3/2", "5/2", 1]],
+        ["7/3", 5, 5],
+    )
+    swapped = [
+        {(1, 0): 2, (2, 0): 1},  # worse than the pair below
+        {(1, 0): 0, (2, 0): 1, (0, 0): 2},
+        {(1, 0): 1, (2, 0): 0},
+        {(1, 0): 0, (2, 0): 1},
+    ]
+    comb = MatchingCombination(matchings=tuple(swapped), weights=(), padded_edges=0)
+    lws = [log_nsw(inst, allocation_from_matching(mat, 3)) for mat in swapped]
+    assert lws[1] == lws[2] == lws[3] > lws[0]
+    assert best_allocation(inst, comb).owner == (1, 2, 0)
+    assert best_allocation(inst, comb).owner == by_log_nsw(inst, comb).owner
+
+
+def test_best_allocation_all_worthless_returns_first():
+    inst = make_instance(["1/2", "1/2"], [[1, 0], [0, 1]])
+    mats = ({(0, 0): 1}, {(1, 0): 0}, {})
+    comb = MatchingCombination(matchings=mats, weights=(), padded_edges=0)
+    assert best_allocation(inst, comb).owner == (None, 0)
 
 
 def test_round_best_from_solver_fractional_vertex():

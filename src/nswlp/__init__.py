@@ -1,7 +1,8 @@
 """Weighted Nash social welfare solver.
 
 Approximation pipeline: configuration LP (column generation priced by a
-knapsack-cover separation oracle) followed by value-ordered group rounding
+ratio screen and a knapsack-cover separation oracle, with a checked dual
+certificate) followed by value-ordered group rounding
 with an exact convex decomposition into matchings.  Reference solvers
 (brute force, positivity matching, one-item assignment baseline) certify
 the approximation at desk scale.

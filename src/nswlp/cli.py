@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import math
@@ -274,7 +275,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     p = argparse.ArgumentParser(
         prog="nswlp",
         description="Weighted Nash social welfare solver (configuration LP + rounding).",

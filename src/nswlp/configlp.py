@@ -1,12 +1,15 @@
 """Configuration LP solver for weighted Nash social welfare.
 
 The LP has one variable y[i,S] per agent/bundle pair, so it is solved by
-column generation: a small restricted primal over a pool of bundles is
-solved in doubles (HiGHS) for its duals, and a knapsack-cover separation
-oracle prices a violated bundle constraint at those duals; the bundle
-joins the pool until none is left.  The final pool is solved exactly.
-The central-cut ellipsoid over the dual, the source paper's
-polynomial-time method, is kept as a reference (``ellipsoid_run``).
+column generation.  One HiGHS model holds the restricted primal over a pool
+of bundles; each round adds the new columns and re-solves it warm from the
+last basis, in doubles, for its duals.  A ratio screen prices at most one
+violated bundle per agent at those duals, and the knapsack-cover separation
+oracle runs only when the screen finds nothing, so the last round is always
+a full oracle pass.  The exact rational simplex then solves the pool's
+support, and the driver checks its value against the dual bound.  The
+central-cut ellipsoid over the dual, the source paper's polynomial-time
+method, is kept as a reference (``ellipsoid_run``).
 
 All bundle data and the final LP vertex stay rational; logarithms, the
 LP duals and the ellipsoid work in doubles.
@@ -20,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .core import (
     Infeasible,
@@ -41,6 +45,10 @@ _FINITE_CHECK_PERIOD = 64
 # zero reduced cost, so without it float noise re-prices them; it must not
 # be smaller than HiGHS's dual feasibility tolerance (1e-7).
 _PRICE_TOL = 1e-6
+
+# HiGHS primal values above this put a column in the support that the
+# exact simplex re-solves.
+_SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,15 +116,15 @@ class _Guess:
 
 
 class _AgentPlan:
-    __slots__ = ("agent", "w_f", "order", "prefix_ln", "guesses", "values")
+    __slots__ = ("agent", "w_f", "order", "order_vals", "guesses", "values")
 
-    def __init__(self, agent, w_f, order, prefix_ln, guesses, values):
+    def __init__(self, agent, w_f, order, order_vals, guesses, values):
         self.agent = agent
         self.w_f = w_f
-        self.order = order          # positive items, by value desc then index
-        self.prefix_ln = prefix_ln  # ln of exact prefix values
+        self.order = order            # positive items, by value desc then index
+        self.order_vals = order_vals  # their values as doubles
         self.guesses = guesses
-        self.values = values        # Fractions, for exact re-evaluation
+        self.values = values          # Fractions, for exact re-evaluation
 
 
 def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
@@ -136,13 +144,8 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
         if not pos:
             plans.append(_AgentPlan(i, float(agent.weight), None, None, [], agent.values))
             continue
-        prefix = []
-        run = _ZERO
-        for j in pos:
-            run += agent.values[j]
-            prefix.append(math.log(float(run)))
         order = np.asarray(pos, dtype=np.int64)
-        prefix_ln = np.asarray(prefix)
+        order_vals = np.asarray([float(agent.values[j]) for j in pos])
         guesses = []
         seen_values = set()
         for start, jstar in enumerate(pos):
@@ -162,7 +165,7 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
                 )
             )
         plans.append(
-            _AgentPlan(i, float(agent.weight), order, prefix_ln, guesses, agent.values)
+            _AgentPlan(i, float(agent.weight), order, order_vals, guesses, agent.values)
         )
     return plans
 
@@ -214,31 +217,44 @@ def _verify_cut(plan: _AgentPlan, item_ids, alpha, beta_i, ln_slack) -> bool:
     return lhs < rhs
 
 
+def _ratio_screen(
+    plans: list[_AgentPlan],
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    ln_slack: float,
+) -> list[tuple[int, tuple[int, ...]]]:
+    """At most one violated column per agent, from the knapsack LP's order.
+
+    Each agent's positive items are sorted by alpha_j / v_ij, Dantzig's
+    greedy order for the knapsack LP relaxation, and the prefix with the
+    largest margin is taken.  A prefix is returned only if ``_verify_cut``
+    confirms it; an empty list proves nothing.
+    """
+    found = []
+    for plan in plans:
+        if plan.order is None:
+            continue
+        a = alpha[plan.order]
+        perm = np.argsort(a / plan.order_vals, kind="stable")
+        beta_i = float(beta[plan.agent])
+        lhs = np.cumsum(a[perm]) + beta_i
+        margins = plan.w_f * (ln_slack + np.log(np.cumsum(plan.order_vals[perm]))) - lhs
+        k = int(np.argmax(margins))
+        if margins[k] <= 0.0:
+            continue
+        ids = plan.order[perm[: k + 1]]
+        if _verify_cut(plan, ids, alpha, beta_i, ln_slack):
+            found.append((plan.agent, tuple(int(j) for j in sorted(ids))))
+    return found
+
+
 def _oracle_query(
     plans: list[_AgentPlan],
     alpha: np.ndarray,
     beta: np.ndarray,
     ln_slack: float,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    # Cheap screen: bundles that are value-sorted prefixes catch almost all
-    # violations far from feasibility.
-    best_margin = 0.0
-    best: Optional[tuple[int, np.ndarray]] = None
-    for plan in plans:
-        if plan.order is None:
-            continue
-        lhs = np.cumsum(alpha[plan.order]) + beta[plan.agent]
-        margins = plan.w_f * (ln_slack + plan.prefix_ln) - lhs
-        k = int(np.argmax(margins))
-        if margins[k] > best_margin:
-            best_margin = float(margins[k])
-            best = (plan.agent, plan.order[: k + 1])
-    if best is not None:
-        plan = plans[best[0]]
-        ids = best[1]
-        if _verify_cut(plan, ids, alpha, float(beta[plan.agent]), ln_slack):
-            return plan.agent, tuple(int(j) for j in sorted(ids))
-    # Full sweep over (agent, top-value) guesses; exact within the rounding.
+    # Sweep over (agent, top-value) guesses; exact within the rounding.
     for plan in plans:
         beta_i = float(beta[plan.agent])
         for guess in plan.guesses:
@@ -469,6 +485,47 @@ def _augment_columns(
     return sorted(pool)
 
 
+class _HighsLP:
+    """The restricted primal in one HiGHS model, kept across rounds.
+
+    Minimises the negated objective over rows items <= 1 and agents = 1.
+    Columns are only ever added, so each ``solve`` starts from the last
+    optimal basis.  ``_Highs`` is scipy's bundled binding, which is private:
+    ``tests/test_configlp.py`` pins every method called here and the sign
+    of the duals.
+    """
+
+    def __init__(self, n: int, m: int):
+        h = _Highs()
+        h.setOptionValue("output_flag", False)
+        self._inf = h.getInfinity()
+        lower = np.concatenate([np.full(m, -self._inf), np.ones(n)])
+        h.addRows(
+            m + n, lower, np.ones(m + n), 0,
+            np.zeros(m + n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0),
+        )
+        self._h = h
+        self._m = m
+
+    def add_column(self, cost: float, agent: int, items: tuple[int, ...]) -> None:
+        rows = np.asarray([*items, self._m + agent], dtype=np.int32)
+        self._h.addCol(cost, 0.0, self._inf, len(rows), rows, np.ones(len(rows)))
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column values, alpha (item duals, clipped at 0) and beta (agent
+        duals) at the optimum: HiGHS's row duals of the minimisation,
+        negated."""
+        h = self._h
+        h.run()
+        status = h.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise NumericalCollapse(f"LP duals unavailable: {h.modelStatusToString(status)}")
+        sol = h.getSolution()
+        dual = np.asarray(sol.row_dual)
+        m = self._m
+        return np.asarray(sol.col_value), np.maximum(-dual[:m], 0.0), -dual[m:]
+
+
 def solve_restricted_primal(
     scaled: Instance,
     columns: Iterable[tuple[int, Sequence[int]]],
@@ -540,22 +597,24 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     Column generation (Gilmore & Gomory) on the restricted primal: values
     are scaled so each agent's minimum positive value is 1, and the pool
     starts from the one-item assignment baseline's singletons plus every
-    agent's best singleton.  Each round solves the pool's LP in doubles
-    with HiGHS for the duals (alpha per item, beta per agent) and asks the
-    knapsack-cover oracle for a violated bundle constraint at
-    (alpha, beta + _PRICE_TOL); the bundle it returns joins the pool.  When
-    the oracle finds none, the shifted duals are feasible, so the certified
-    bound on the LP optimum is sum(alpha) + sum(beta) + n * _PRICE_TOL, and
-    the pool's value is within ln(1+eps/2) + n * _PRICE_TOL of it.  The
-    final pool is solved again by the exact rational simplex, so the
+    agent's best singleton.  Each round re-solves the pool's LP in one
+    warm-started HiGHS model for the duals (alpha per item, beta per agent)
+    and prices at (alpha, beta + _PRICE_TOL): the ratio screen adds at most
+    one violated bundle per agent, and only when it finds none does the
+    knapsack-cover oracle run, adding the first bundle it finds.  When the
+    oracle finds none, the shifted duals are feasible, so the LP optimum is
+    at most bound = sum(alpha) + sum(beta) + n * _PRICE_TOL.
+
+    The exact rational simplex then solves the columns HiGHS gave positive
+    mass, with the baseline singletons, and the driver checks the
+    certificate bound - lp_value <= ln(1+eps/2) + n * _PRICE_TOL + 1e-9.  If
+    it fails, the whole pool is solved exactly and checked again.  The
     returned masses are exactly feasible.
 
-    Raises NumericalCollapse when HiGHS does not report an optimum or the
-    oracle re-prices a pooled column: the doubles can then no longer tell
-    the pool from a new column.
+    Raises NumericalCollapse when HiGHS does not report an optimum, the
+    screen or the oracle re-prices a pooled column, or the exact pool value
+    misses the certificate: the doubles can then no longer be trusted.
     """
-    from scipy.optimize import linprog
-
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
     validate(instance)
@@ -569,57 +628,51 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
         agents=tuple(scaled.agents[i] for i in active),
     )
     # The baseline gives every agent a positive item (or raises Infeasible),
-    # so every agent has a column and a row, as in _build_conf_lp.
+    # so every agent has a column and a row, and its singletons alone are a
+    # feasible pool.
     base_alloc, _ = assignment_baseline(work)
-    cols = _augment_columns(
-        work,
-        [(owner, (j,)) for j, owner in enumerate(base_alloc.owner) if owner is not None],
-    )
+    baseline = [(owner, (j,)) for j, owner in enumerate(base_alloc.owner) if owner is not None]
+    cols = _augment_columns(work, baseline)
     plans = _build_plans(work, eps_run)
     n, m = work.num_agents, work.num_items
-    # Per column, cached once: negated objective, item and agent incidence.
-    neg_obj: list[float] = []
-    item_inc: list[np.ndarray] = []
-    agent_inc: list[np.ndarray] = []
+    model = _HighsLP(n, m)
 
     def add(key: tuple[int, tuple[int, ...]]) -> None:
         i, items = key
-        neg_obj.append(
-            -float(work.agents[i].weight)
-            * (ln_slack + math.log(float(work.bundle_value(i, items))))
+        cost = -float(work.agents[i].weight) * (
+            ln_slack + math.log(float(work.bundle_value(i, items)))
         )
-        col = np.zeros(m)
-        col[list(items)] = 1.0
-        item_inc.append(col)
-        col = np.zeros(n)
-        col[i] = 1.0
-        agent_inc.append(col)
+        model.add_column(cost, i, items)
 
     pool = set(cols)
     for key in cols:
         add(key)
     while True:
-        res = linprog(
-            np.asarray(neg_obj),
-            A_ub=np.column_stack(item_inc),
-            b_ub=np.ones(m),
-            A_eq=np.column_stack(agent_inc),
-            b_eq=np.ones(n),
-            method="highs",
-        )
-        if res.status != 0:
-            raise NumericalCollapse(f"LP duals unavailable: {res.message}")
-        alpha = np.maximum(-res.ineqlin.marginals, 0.0)
-        beta = -res.eqlin.marginals
-        found = _oracle_query(plans, alpha, beta + _PRICE_TOL, ln_slack)
-        if found is None:
+        x, alpha, beta = model.solve()
+        priced = beta + _PRICE_TOL
+        found = _ratio_screen(plans, alpha, priced, ln_slack)
+        if not found:
+            cut = _oracle_query(plans, alpha, priced, ln_slack)
+            if cut is None:
+                break
+            found = [cut]
+        for key in found:
+            if key in pool:
+                raise NumericalCollapse("LP duals lost precision: pooled column re-priced")
+            pool.add(key)
+            cols.append(key)
+            add(key)
+    bound = float(alpha.sum() + beta.sum()) + n * _PRICE_TOL
+    gap_cap = ln_slack + n * _PRICE_TOL + 1e-9
+    support = baseline + [key for key, y in zip(cols, x) if y > _SUPPORT_TOL]
+    for candidate in (support, cols):
+        work_sol = solve_restricted_primal(work, candidate, eps_run)
+        if bound - work_sol.lp_value <= gap_cap:
             break
-        if found in pool:
-            raise NumericalCollapse("LP duals lost precision: pooled column re-priced")
-        pool.add(found)
-        cols.append(found)
-        add(found)
-    work_sol = solve_restricted_primal(work, cols, eps_run)
+    else:
+        raise NumericalCollapse(
+            f"exact pool value {work_sol.lp_value!r} misses the dual bound {bound!r}"
+        )
     # Map agents back and restate the value in original space.
     return _column_solution(
         instance,

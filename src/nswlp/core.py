@@ -45,8 +45,9 @@ class Infeasible(RuntimeError):
 
 
 class NumericalCollapse(RuntimeError):
-    """Double precision failed: the LP duals no longer separate the column
-    pool, or the reference ellipsoid's matrix lost positive definiteness."""
+    """Double precision failed: HiGHS reports no optimum, the LP duals no
+    longer separate the column pool, the exact pool value misses the dual
+    bound, or the reference ellipsoid's matrix lost positive definiteness."""
 
 
 class DecompositionFailure(RuntimeError):

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from nswlp import (
     DualPoint,
@@ -11,9 +13,13 @@ from nswlp import (
     NumericalCollapse,
     TooLarge,
     brute_force_opt,
+    check_ef1,
     ellipsoid_run,
     full_enumeration_lp,
+    log_nsw,
     make_instance,
+    round_best,
+    round_combination,
     scale_values,
     separation_oracle,
     solve_configuration_lp,
@@ -427,12 +433,142 @@ def test_solve_lp_repriced_pooled_column_raises(monkeypatch):
 
 
 def test_solve_lp_highs_failure_raises(monkeypatch):
-    import scipy.optimize
+    class Failing(_Highs):
+        def getModelStatus(self):
+            return HighsModelStatus.kSolveError
 
-    def failing(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    monkeypatch.setattr(configlp, "_Highs", Failing)
+    message = _Highs().modelStatusToString(HighsModelStatus.kSolveError)
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
-    with pytest.raises(NumericalCollapse, match="numerical difficulties"):
+    with pytest.raises(NumericalCollapse, match=message):
         solve_configuration_lp(inst, 0.1)
+
+
+# -- HiGHS binding -------------------------------------------------------------
+
+# Every method configlp._HighsLP calls on scipy's private binding.
+HIGHS_METHODS = (
+    "setOptionValue", "getInfinity", "addRows", "addCol", "run",
+    "getModelStatus", "modelStatusToString", "getSolution",
+)
+
+
+def test_highs_binding_surface_and_dual_signs():
+    for name in HIGHS_METHODS:
+        assert callable(getattr(_Highs, name, None)), name
+    assert HighsModelStatus.kOptimal != HighsModelStatus.kSolveError
+    # Two agents, three items.  Maximise 4 y0{1} + 3 y1{2} + 4 y0{0}
+    # + 2 y0{0,2} + 5 y1{0,1}.  The optimum puts 1/2 on every column but
+    # y0{0,2}, with value 8.  Item 2 is slack, so alpha_2 = 0; the tight
+    # columns give alpha_1 + beta_0 = 4, alpha_0 + beta_0 = 4, beta_1 = 3
+    # and alpha_0 + alpha_1 + beta_1 = 5, so alpha = (1, 1, 0) and
+    # beta = (3, 3): the unique dual optimum, with sum 8.
+    cols = [(0, (1,)), (1, (2,)), (0, (0,)), (0, (0, 2)), (1, (0, 1))]
+    objective = [4.0, 3.0, 4.0, 2.0, 5.0]
+    model = configlp._HighsLP(2, 3)
+    for (i, items), c in zip(cols, objective):
+        model.add_column(-c, i, items)
+    x, alpha, beta = model.solve()
+    assert x == pytest.approx([0.5, 0.5, 0.5, 0.0, 0.5], abs=1e-9)
+    assert alpha == pytest.approx([1.0, 1.0, 0.0], abs=1e-9)
+    assert beta == pytest.approx([3.0, 3.0], abs=1e-9)
+    # A column added later joins the kept model: at those duals the bundle
+    # {0, 1, 2} for agent 1 is worth 7 > alpha(S) + beta_1 = 5, so it enters,
+    # and strong duality holds again.
+    model.add_column(-7.0, 1, (0, 1, 2))
+    x, alpha, beta = model.solve()
+    assert x[-1] > 0
+    assert float(alpha.sum() + beta.sum()) == pytest.approx(
+        sum(c * y for c, y in zip(objective + [7.0], x)), abs=1e-9
+    )
+
+
+# -- ratio screen and certificate ------------------------------------------------
+
+
+def test_ratio_screen_returns_verified_cuts_at_most_one_per_agent():
+    rng = random.Random(5)
+    returned = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        m = rng.randint(max(2, n), 9)
+        inst = random_solvable_instance(n, m, rng, dist=rng.choice(["uniform", "zipf"]))
+        work = scaled_work(inst)
+        plans = configlp._build_plans(work, 0.1)
+        vmax = max(float(max(a.values)) for a in work.agents)
+        hi = math.log(m * vmax * vmax) + 0.5
+        alpha = np.asarray([rng.uniform(0, hi / m) for _ in range(m)])
+        beta = np.asarray([rng.uniform(-hi, hi) for _ in range(n)])
+        ln_slack = math.log1p(0.05)
+        found = configlp._ratio_screen(plans, alpha, beta, ln_slack)
+        agents = [i for i, _ in found]
+        assert len(agents) == len(set(agents))
+        for i, items in found:
+            assert items == tuple(sorted(set(items)))
+            ids = np.asarray(items, dtype=np.int64)
+            assert configlp._verify_cut(plans[i], ids, alpha, float(beta[i]), ln_slack)
+        returned += len(found)
+    assert returned > 100
+
+
+def _support_solve_sabotaged(monkeypatch, calls_to_spoil):
+    """Let solve_restricted_primal see only singleton columns on the first
+    ``calls_to_spoil`` calls; returns the list of pool sizes it was given."""
+    real = configlp.solve_restricted_primal
+    sizes = []
+
+    def spoiled(scaled, columns, epsilon):
+        columns = list(columns)
+        sizes.append(len(columns))
+        if len(sizes) <= calls_to_spoil:
+            columns = [c for c in columns if len(c[1]) == 1]
+        return real(scaled, columns, epsilon)
+
+    monkeypatch.setattr(configlp, "solve_restricted_primal", spoiled)
+    return sizes
+
+
+def test_solve_lp_support_miss_falls_back_to_full_pool(monkeypatch):
+    inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    expected = solve_configuration_lp(inst, 0.1)
+    assert any(len(c.items) > 1 for c in expected.columns)
+    sizes = _support_solve_sabotaged(monkeypatch, 1)
+    sol = solve_configuration_lp(inst, 0.1)
+    assert len(sizes) == 2 and sizes[1] >= sizes[0]
+    assert sol == expected
+
+
+def test_solve_lp_certificate_failure_raises(monkeypatch):
+    inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    sizes = _support_solve_sabotaged(monkeypatch, 2)
+    with pytest.raises(NumericalCollapse, match="misses the dual bound"):
+        solve_configuration_lp(inst, 0.1)
+    assert len(sizes) == 2
+
+
+# -- a fractional LP at scale ----------------------------------------------------
+
+
+def test_solve_lp_fractional_zipf_at_scale():
+    inst = random_solvable_instance(10, 30, random.Random(1), dist="zipf")
+    sol = solve_configuration_lp(inst, 0.025)
+    assert sum(1 for y in sol.mass if 0 < y < 1) >= 2
+    agent_mass = {}
+    item_mass = {j: Fraction(0) for j in range(30)}
+    for col, y in zip(sol.columns, sol.mass):
+        assert y > 0
+        assert col.items == tuple(sorted(col.items))
+        assert col.value == inst.bundle_value(col.agent, col.items)
+        agent_mass[col.agent] = agent_mass.get(col.agent, Fraction(0)) + y
+        for j in col.items:
+            item_mass[j] += y
+    assert set(agent_mass) == {i for i in range(10) if inst.agents[i].weight > 0}
+    assert all(v == 1 for v in agent_mass.values())
+    assert all(v <= 1 for v in item_mass.values())
+    assert sol.lp_value == pytest.approx(3.569978163, abs=1e-6)
+    comb = round_combination(inst, sol)
+    assert len(comb.matchings) > 1
+    for i in range(inst.num_agents):
+        bundles = [[j for (a, _), j in mat.items() if a == i] for mat in comb.matchings]
+        assert check_ef1(inst.agents[i].values, bundles, require_disjoint=False), i
+    assert log_nsw(inst, round_best(inst, sol)) >= sol.lp_value - 1 / math.e

@@ -6,9 +6,11 @@ split exactly into a convex combination of partial matchings, and the best
 matching's allocation is returned.  The split pads the matrix to a doubly
 stochastic square and checks it in ``Fraction`` arithmetic, then runs the
 Birkhoff-von-Neumann extraction on exact integers: the padded masses times
-their common denominator D.  Groups of full mass are matched in every
-extracted matching, which is what makes the per-agent bundles envy-free up
-to one item across the combination.
+their common denominator D.  The extraction keeps one perfect matching and
+repairs it: after each step only the rows whose matched edge ran out are
+matched again, by augmenting paths.  Groups of full mass are matched in
+every extracted matching, which is what makes the per-agent bundles
+envy-free up to one item across the combination.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import (
     Allocation,
@@ -49,7 +47,7 @@ class MatchingCombination:
 
     ``padded_edges`` counts the positive entries of the doubly stochastic
     matrix the decomposition ran on; the number of matchings never exceeds
-    it by more than one.
+    it, because each extraction deletes at least one edge.
     """
 
     matchings: tuple[Matching, ...]
@@ -196,48 +194,85 @@ def pad_square(
     return cells, group_of, item_of
 
 
+def _augment(
+    adj: list[dict[int, int]], col_of: list[int], row_of: list[int], root: int
+) -> bool:
+    """Match the free row ``root`` by one augmenting path (Kuhn's DFS).
+
+    Rows try their columns in ascending order, and each column is visited
+    at most once.  The search keeps an explicit stack, so paths as long as
+    the matrix need no recursion.  Returns False when no path exists.
+    """
+    reached_from: dict[int, int] = {}  # column -> the row that tried it
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        r, cols = stack[-1]
+        for c in cols:
+            if c in reached_from:
+                continue
+            reached_from[c] = r
+            owner = row_of[c]
+            if owner >= 0:
+                stack.append((owner, iter(adj[owner])))
+                break
+            # c is free: flip the path back to the root.
+            while True:
+                r = reached_from[c]
+                row_of[c] = r
+                c, col_of[r] = col_of[r], c
+                if r == root:
+                    return True
+        else:
+            stack.pop()
+    return False
+
+
 def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
     """Split the group-item fractional matching into integral matchings.
 
     The matrix is padded and checked by :func:`pad_square`, then scaled once
     by the common denominator D of its masses, so every edge weight is an
-    exact int.  Perfect matchings on the positive support are extracted with
-    the minimum edge weight until nothing remains; each weight is that
-    minimum over D, and dummy vertices are stripped from the output.
+    exact int.  One perfect matching on the positive support is kept across
+    extractions: each extraction takes the minimum matched weight, subtracts
+    it from the matched edges and deletes those that reach zero.  Only the
+    rows those deletions left free are matched again, in ascending order, by
+    augmenting paths (:func:`_augment`); the first matching is built the
+    same way from an empty one.  Each weight is its minimum over D, and
+    dummy vertices are stripped from the output.
     """
     cells, group_of, item_of = pad_square(groups, x)
     size = len(group_of)
     denom = math.lcm(*(frac.denominator for _, _, frac in cells))
-    er = np.array([r for r, _, _ in cells], dtype=np.int64)
-    ec = np.array([c for _, c, _ in cells], dtype=np.int64)
-    ew = np.array(
-        [frac.numerator * (denom // frac.denominator) for _, _, frac in cells],
-        dtype=object,
-    )
-    rows = np.arange(size, dtype=np.int64)
-    bounds = np.arange(size + 1, dtype=np.int64)
+    # Cells come sorted by (row, column), so each row's dict is in
+    # ascending column order, and deletions keep it so.
+    adj: list[dict[int, int]] = [{} for _ in range(size)]
+    for r, c, frac in cells:
+        adj[r][c] = frac.numerator * (denom // frac.denominator)
+    col_of, row_of = [-1] * size, [-1] * size
+    real_rows = [(r, g) for r, g in enumerate(group_of) if g is not None]
+    free = list(range(size))
+    edges = len(cells)
     matchings: list[Matching] = []
     lams: list[int] = []
-    while len(ew):
-        support = csr_matrix(
-            (np.ones(len(ec), dtype=np.int8), ec, np.searchsorted(er, bounds)),
-            shape=(size, size),
-        )
-        match = maximum_bipartite_matching(support, perm_type="column")
-        if (match == -1).any():
-            raise DecompositionFailure("no perfect matching in positive support")
-        # Edges stay sorted by (row, column), so their keys are sorted too.
-        pos = np.searchsorted(er * size + ec, rows * size + match)
-        lam = ew[pos].min()
-        real: Matching = {}
-        for r, c in enumerate(match.tolist()):
-            if group_of[r] is not None and item_of[c] is not None:
-                real[group_of[r]] = item_of[c]
-        matchings.append(real)
+    while edges:
+        for r in free:
+            if not _augment(adj, col_of, row_of, r):
+                raise DecompositionFailure("no perfect matching in positive support")
+        lam = min(map(dict.__getitem__, adj, col_of))
+        matchings.append({
+            g: j for r, g in real_rows if (j := item_of[col_of[r]]) is not None
+        })
         lams.append(lam)
-        ew[pos] -= lam
-        alive = ew != 0
-        er, ec, ew = er[alive], ec[alive], ew[alive]
+        free = []
+        for r, (row, c) in enumerate(zip(adj, col_of)):
+            left = row[c] - lam
+            if left:
+                row[c] = left
+            else:
+                del row[c]
+                col_of[r] = row_of[c] = -1
+                free.append(r)
+        edges -= len(free)
     if sum(lams) != denom:
         raise DecompositionFailure("extracted weights do not sum to 1")
     return MatchingCombination(
@@ -271,33 +306,38 @@ def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombinat
 def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation:
     """Allocation of the first matching with the highest log welfare.
 
-    Each term equals the one :func:`log_nsw` computes: bundle sums are exact
-    ints over each agent's common value denominator, and int true division
-    rounds correctly, as ``float`` of a ``Fraction`` does.
+    Each matching is scored straight from its items, and only the winner is
+    turned into an :class:`Allocation`.  Each term equals the one
+    :func:`log_nsw` computes: bundle sums are exact ints over each agent's
+    common value denominator, and int true division rounds correctly, as
+    ``float`` of a ``Fraction`` does.  A matching that gives one item twice
+    raises ``ValueError``.
     """
-    terms = []  # (agent, weight, int values, numerator, denominator)
+    ints = []  # each agent's values as ints over their common denominator
+    terms = []  # (agent, weight, numerator, denominator), positive weights only
     for i, (agent, scale) in enumerate(zip(instance.agents, instance.scales)):
-        if agent.weight == 0:
-            continue
         d = math.lcm(*(v.denominator for v in agent.values))
-        ints = [v.numerator * (d // v.denominator) for v in agent.values]
-        terms.append(
-            (i, float(agent.weight), ints, scale.numerator, scale.denominator * d)
-        )
+        ints.append([v.numerator * (d // v.denominator) for v in agent.values])
+        if agent.weight != 0:
+            terms.append(
+                (i, float(agent.weight), scale.numerator, scale.denominator * d)
+            )
     best, best_lw = None, -math.inf
     for mat in comb.matchings:
-        alloc = allocation_from_matching(mat, instance.num_items)
-        bundles = alloc.bundles(instance.num_agents)
+        if len(set(mat.values())) != len(mat):
+            raise ValueError("an item is matched twice")
+        sums = [0] * instance.num_agents
+        for (i, _), j in mat.items():
+            sums[i] += ints[i][j]
         lw = 0.0
-        for i, w, ints, num, den in terms:
-            s = sum(ints[j] for j in bundles[i])
-            if s == 0:
+        for i, w, num, den in terms:
+            if sums[i] == 0:
                 lw = -math.inf
                 break
-            lw += w * math.log((num * s) / den)
+            lw += w * math.log((num * sums[i]) / den)
         if best is None or lw > best_lw:
-            best, best_lw = alloc, lw
-    return best
+            best, best_lw = mat, lw
+    return allocation_from_matching(best, instance.num_items)
 
 
 def round_best(instance: Instance, y: ColumnSolution) -> Allocation:

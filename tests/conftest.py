@@ -111,12 +111,12 @@ def fraction_extraction(groups, x):
     """Birkhoff-von-Neumann extraction on ``pad_square``'s matrix, all in
     ``Fraction`` arithmetic: the reference for ``decompose``'s integer path.
 
-    Returns (matchings, weights, padded_edges) like ``MatchingCombination``.
+    The matching is repaired, not rebuilt: it starts empty, and after each
+    extraction only the rows whose matched edge ran out are matched again,
+    in ascending row order, by recursive augmenting paths that try columns
+    in ascending order.  Returns (matchings, weights, padded_edges) like
+    ``MatchingCombination``.
     """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     from nswlp.rounding import pad_square
 
     cells, group_of, item_of = pad_square(groups, x)
@@ -124,31 +124,37 @@ def fraction_extraction(groups, x):
     rest = [{} for _ in range(size)]
     for r, c, frac in cells:
         rest[r][c] = frac
+    col_of, row_of = {}, {}
+
+    def augment(r, seen):
+        for c in sorted(rest[r]):
+            if c not in seen:
+                seen.add(c)
+                if c not in row_of or augment(row_of[c], seen):
+                    col_of[r], row_of[c] = c, r
+                    return True
+        return False
+
     matchings, weights = [], []
+    free = list(range(size))
     while any(rest):
-        indptr = [0]
-        indices = []
-        for row in rest:
-            indices.extend(sorted(row))
-            indptr.append(len(indices))
-        support = csr_matrix(
-            (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(size, size)
-        )
-        match = maximum_bipartite_matching(support, perm_type="column").tolist()
-        assert -1 not in match
-        lam = min(rest[r][c] for r, c in enumerate(match))
+        for r in free:
+            assert augment(r, set())
+        lam = min(rest[r][col_of[r]] for r in range(size))
         real = {}
-        for r, c in enumerate(match):
+        for r in range(size):
+            c = col_of[r]
             if group_of[r] is not None and item_of[c] is not None:
                 real[group_of[r]] = item_of[c]
         matchings.append(real)
         weights.append(lam)
-        for r, c in enumerate(match):
-            left = rest[r][c] - lam
-            if left == 0:
-                del rest[r][c]
-            else:
-                rest[r][c] = left
+        free = []
+        for r in range(size):
+            c = col_of[r]
+            rest[r][c] -= lam
+            if rest[r][c] == 0:
+                del rest[r][c], col_of[r], row_of[c]
+                free.append(r)
     assert sum(weights, Fraction(0)) == 1
     return tuple(matchings), tuple(weights), len(cells)
 
@@ -227,8 +233,11 @@ def random_feasible_marginals(rng: random.Random, n: int, m: int, denom: int = 1
     return x
 
 
-def random_column_solution(rng: random.Random, instance: Instance, parts: int = 3):
-    """Feasible bundle masses built as a mixture of onto assignments.
+def random_column_solution(
+    rng: random.Random, instance: Instance, parts: int = 3, denom: int = 24
+):
+    """Feasible bundle masses built as a mixture of onto assignments, with
+    mixing weights on a 1/denom lattice.
 
     Requires at least as many items as agents so every bundle is nonempty.
     """
@@ -236,7 +245,6 @@ def random_column_solution(rng: random.Random, instance: Instance, parts: int = 
 
     n, m = instance.num_agents, instance.num_items
     assert m >= n, "mixture construction needs one item per agent"
-    denom = 24
     cuts = sorted(rng.randint(0, denom) for _ in range(parts - 1))
     lams = [
         Fraction(b - a, denom)

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from nswlp import (
+    DecompositionFailure,
     EmptyAgent,
     allocation_from_matching,
     build_groups,
@@ -18,6 +20,7 @@ from nswlp import (
     brute_force_opt,
     solve_configuration_lp,
 )
+from nswlp import rounding
 from nswlp.configlp import Column, ColumnSolution
 from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
@@ -263,6 +266,24 @@ def test_decompose_matches_fraction_reference(rng):
     assert checked > 100
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(0, 0, F(1)), (1, 0, F(1))],  # no perfect matching at all
+        # The first matching uses (0, 1); once it runs out, row 0 has none.
+        [(0, 0, F(1, 2)), (0, 1, F(1, 2)), (1, 0, F(1))],
+    ],
+)
+def test_decompose_raises_without_perfect_matching(monkeypatch, cells):
+    monkeypatch.setattr(
+        rounding, "pad_square", lambda groups, x: (cells, [(0, 0), (1, 0)], [0, 1])
+    )
+    with pytest.raises(
+        DecompositionFailure, match="no perfect matching in positive support"
+    ):
+        decompose({}, [])
+
+
 LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1, 10**9 + 9)
 
 
@@ -440,6 +461,14 @@ def test_best_allocation_first_of_exact_ties():
     assert best_allocation(inst, comb).owner == by_log_nsw(inst, comb).owner
 
 
+def test_best_allocation_rejects_item_matched_twice():
+    inst = make_instance(["1/2", "1/2"], [[1, 2], [2, 1]])
+    mats = ({(0, 0): 1, (1, 0): 0}, {(0, 0): 0, (1, 0): 0})
+    comb = MatchingCombination(matchings=mats, weights=(), padded_edges=0)
+    with pytest.raises(ValueError, match="twice"):
+        best_allocation(inst, comb)
+
+
 def test_best_allocation_all_worthless_returns_first():
     inst = make_instance(["1/2", "1/2"], [[1, 0], [0, 1]])
     mats = ({(0, 0): 1}, {(1, 0): 0}, {})
@@ -455,3 +484,21 @@ def test_round_best_from_solver_fractional_vertex():
     alloc = round_best(inst, sol)
     _, opt = brute_force_opt(inst)
     assert nsw(inst, alloc) == pytest.approx(math.exp(opt))
+
+
+@pytest.mark.parametrize("n, m", [(8, 30), (12, 50), (20, 100)])
+def test_round_combination_at_round_frac_scale(n, m):
+    # Mixtures of ten onto assignments on a 1/2520 lattice, the shape of
+    # the benchmark's round-frac inputs, drawn here from a fixed seed.
+    rng = random.Random(1000 * n + m)
+    inst = positive_instance(rng, n, m)
+    y = random_column_solution(rng, inst, parts=10, denom=2520)
+    x = marginals(y, n, m)
+    groups = marginal_groups(inst, x)
+    comb = decompose(groups, x)
+    assert len(comb.matchings) > 1
+    assert sum(comb.weights, F(0)) == 1
+    combination_marginals_exact(groups, comb)
+    full_groups_always_matched(groups, comb)
+    assert len(comb.matchings) <= comb.padded_edges
+    assert round_best(inst, y).owner == by_log_nsw(inst, comb).owner

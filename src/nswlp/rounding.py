@@ -3,14 +3,15 @@
 Per agent, the fractional items are sliced into unit-mass groups in
 non-increasing value order; the group-item fractional matching is then
 split exactly into a convex combination of partial matchings, and the best
-matching's allocation is returned.  The split pads the matrix to a doubly
-stochastic square and checks it in ``Fraction`` arithmetic, then runs the
-Birkhoff-von-Neumann extraction on exact integers: the padded masses times
-their common denominator D.  The extraction keeps one perfect matching and
-repairs it: after each step only the rows whose matched edge ran out are
-matched again, by augmenting paths.  Groups of full mass are matched in
-every extracted matching, which is what makes the per-agent bundles
-envy-free up to one item across the combination.
+matching's allocation is returned.  Slicing, padding and extraction all run
+on exact integers: the slicing on each agent's marginals times their common
+denominator, the padding to a doubly stochastic square and its checks, and
+the Birkhoff-von-Neumann extraction on the group masses times their common
+denominator D.  The extraction keeps one perfect matching and repairs it:
+after each step only the rows whose matched edge ran out are matched again,
+by augmenting paths.  Groups of full mass are matched in every extracted
+matching, which is what makes the per-agent bundles envy-free up to one
+item across the combination.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .core import (
 from .configlp import ColumnSolution
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Group = dict[int, Fraction]
 GroupSet = dict[int, list[Group]]
@@ -65,9 +65,15 @@ def marginals(y: ColumnSolution, n: int, m: int) -> list[list[Fraction]]:
     return x
 
 
+def _int_values(values) -> tuple[list[int], int]:
+    """A row of ``Fraction``s as ints over their common denominator d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def item_order(instance: Instance, i: int) -> list[int]:
     """Items sorted by non-increasing v_ij, ties by smaller index."""
-    vals = instance.agents[i].values
+    vals, _ = _int_values(instance.agents[i].values)
     return sorted(range(instance.num_items), key=vals.__getitem__, reverse=True)
 
 
@@ -78,130 +84,135 @@ def build_groups(
 
     Sweeps the items in value order, filling each group to mass exactly 1
     and splitting an item's fraction across the boundary when needed; the
-    last group keeps the fractional remainder.
+    last group keeps the fractional remainder.  The slicing runs on the
+    row's masses as ints over their common denominator d, so a unit of mass
+    is d; only the returned masses are ``Fraction``s.
     """
-    total = sum(x[i], _ZERO)
-    if total == 0:
+    row, d = _int_values(x[i])
+    if sum(row) == 0:
         raise EmptyAgent(f"agent {i} has no fractional mass")
-    groups: list[Group] = []
-    current: Group = {}
-    room = _ONE
+    groups: list[dict[int, int]] = []
+    current: dict[int, int] = {}
+    room = d
     for j in item_order(instance, i):
-        rest = x[i][j]
+        rest = row[j]
         while rest > 0:
+            # room > 0 here, and a group is closed before j could reappear.
             take = min(rest, room)
-            if take > 0:
-                current[j] = current.get(j, _ZERO) + take
-                room -= take
-                rest -= take
+            current[j] = take
+            room -= take
+            rest -= take
             if room == 0:
                 groups.append(current)
                 current = {}
-                room = _ONE
+                room = d
     if current:
         groups.append(current)
-    return groups
+    return [{j: Fraction(a, d) for j, a in g.items()} for g in groups]
 
 
-Cell = tuple[int, int, Fraction]  # (padded row, padded column, mass)
+Cell = tuple[int, int, int]  # (padded row, padded column, mass times D)
 
 
 def pad_square(
     groups: GroupSet, x: list[list[Fraction]]
-) -> tuple[list[Cell], list[Optional[tuple[int, int]]], list[Optional[int]]]:
+) -> tuple[list[Cell], int, list[Optional[tuple[int, int]]], list[Optional[int]]]:
     """Pad the group-item mass matrix to a doubly stochastic square.
 
-    Adds a dummy item per deficient group, a dummy group per deficient item,
-    and a northwest-corner filler block between the dummies, all in
-    ``Fraction`` arithmetic.  Returns the positive cells sorted by (row,
-    column), the (agent, group index) of each row and the item of each
-    column, None for dummies.
+    Scales every group mass by D, the lcm of their denominators, so a unit
+    of mass is the int D.  Rows are the groups in (agent, group index)
+    order, then a dummy group per deficient item, then fully deficient
+    padding rows; columns are the items (``x`` gives their number), then a
+    dummy item per deficient group, then fully deficient padding columns.
+    A northwest-corner fill between the dummies balances the square.
+    Raises :class:`DecompositionFailure` when an item or a group carries
+    more than unit mass, or the deficits do not balance.
+
+    Returns the cells with their int masses sorted by (row, column), D, the
+    (agent, group index) of each row and the item of each column, None for
+    dummies.
     """
     m = len(x[0]) if x else 0
-    edges: dict = {}
-    row_keys: list = []
+    denom = math.lcm(*{
+        f.denominator for gs in groups.values() for g in gs for f in g.values()
+    })
+    group_of: list[Optional[tuple[int, int]]] = []
+    rows: list[list[tuple[int, int]]] = []  # per row, (column, mass) ascending
     for i in sorted(groups):
         for t, g in enumerate(groups[i]):
-            rk = ("g", i, t)
-            row_keys.append(rk)
-            edges[rk] = {("i", j): frac for j, frac in sorted(g.items())}
-    col_sum = {j: _ZERO for j in range(m)}
-    for rk in row_keys:
-        for (_, j), frac in edges[rk].items():
-            col_sum[j] += frac
-    for j, s in col_sum.items():
-        if s > 1:
-            raise DecompositionFailure(f"item {j} carries mass {s} > 1")
-    col_keys = [("i", j) for j in range(m)]
-    # Dummy item per deficient group.
-    for rk in row_keys:
-        mass = sum(edges[rk].values(), _ZERO)
-        if mass > 1:
-            raise DecompositionFailure(f"group {rk} carries mass {mass} > 1")
-        if mass < 1:
-            ck = ("di", rk)
-            col_keys.append(ck)
-            edges[rk][ck] = _ONE - mass
-    # Dummy group per deficient item.
-    col_deficit: dict = {}
-    row_deficit: dict = {}
-    for j in range(m):
-        if col_sum[j] < 1:
-            rk = ("dg", j)
-            row_keys.append(rk)
-            edges[rk] = {("i", j): _ONE - col_sum[j]}
-            row_deficit[rk] = col_sum[j]
-    for ck in col_keys:
-        if ck[0] == "di":
-            col_deficit[ck] = _ONE - edges[ck[1]][ck]
+            group_of.append((i, t))
+            rows.append([
+                (j, f.numerator * (denom // f.denominator))
+                for j, f in sorted(g.items())
+            ])
+    col_sum = [0] * m
+    for row in rows:
+        for j, a in row:
+            col_sum[j] += a
+    for j, s in enumerate(col_sum):
+        if s > denom:
+            raise DecompositionFailure(
+                f"item {j} carries mass {Fraction(s, denom)} > 1"
+            )
+    # Dummy item per deficient group; its deficit is the group's mass.
+    col_deficit: list[int] = []
+    for row, (i, t) in zip(rows, group_of):
+        mass = sum(a for _, a in row)
+        if mass > denom:
+            raise DecompositionFailure(
+                f"group ('g', {i}, {t}) carries mass {Fraction(mass, denom)} > 1"
+            )
+        if mass < denom:
+            row.append((m + len(col_deficit), denom - mass))
+            col_deficit.append(mass)
+    # Dummy group per deficient item; its deficit is the item's mass.
+    row_deficit = [0] * len(rows)
+    for j, s in enumerate(col_sum):
+        if s < denom:
+            rows.append([(j, denom - s)])
+            row_deficit.append(s)
     # Square off with fully deficient padding rows/columns.
-    while len(row_keys) < len(col_keys):
-        rk = ("pr", len(row_keys))
-        row_keys.append(rk)
-        edges[rk] = {}
-        row_deficit[rk] = _ONE
-    while len(col_keys) < len(row_keys):
-        ck = ("pc", len(col_keys))
-        col_keys.append(ck)
-        col_deficit[ck] = _ONE
-    # Northwest-corner transportation fill over the deficits.
-    drows = [rk for rk in row_keys if row_deficit.get(rk, _ZERO) > 0]
-    dcols = [ck for ck in col_keys if col_deficit.get(ck, _ZERO) > 0]
-    if sum((row_deficit[r] for r in drows), _ZERO) != sum(
-        (col_deficit[c] for c in dcols), _ZERO
-    ):
+    size = max(len(rows), m + len(col_deficit))
+    row_deficit += [denom] * (size - len(rows))
+    rows += [[] for _ in range(size - len(rows))]
+    col_deficit += [denom] * (size - m - len(col_deficit))
+    # Northwest-corner transportation fill over the deficits; dummy column
+    # k is padded column m + k.
+    drows = [r for r, s in enumerate(row_deficit) if s > 0]
+    dcols = [k for k, s in enumerate(col_deficit) if s > 0]
+    if sum(row_deficit[r] for r in drows) != sum(col_deficit[k] for k in dcols):
         raise DecompositionFailure("padding deficits do not balance")
     ri = ci = 0
     while ri < len(drows) and ci < len(dcols):
-        r, c = drows[ri], dcols[ci]
-        take = min(row_deficit[r], col_deficit[c])
+        r, k = drows[ri], dcols[ci]
+        take = min(row_deficit[r], col_deficit[k])
         if take > 0:
-            edges[r][c] = edges[r].get(c, _ZERO) + take
+            rows[r].append((m + k, take))
             row_deficit[r] -= take
-            col_deficit[c] -= take
+            col_deficit[k] -= take
         if row_deficit[r] == 0:
             ri += 1
-        if ci < len(dcols) and col_deficit[c] == 0:
+        if ci < len(dcols) and col_deficit[k] == 0:
             ci += 1
-    col_of = {ck: c for c, ck in enumerate(col_keys)}
-    cells = sorted(
-        (r, col_of[ck], frac)
-        for r, rk in enumerate(row_keys)
-        for ck, frac in edges[rk].items()
-    )
-    group_of = [(rk[1], rk[2]) if rk[0] == "g" else None for rk in row_keys]
-    item_of = [ck[1] if ck[0] == "i" else None for ck in col_keys]
-    return cells, group_of, item_of
+    group_of += [None] * (size - len(group_of))
+    item_of: list[Optional[int]] = list(range(m)) + [None] * (size - m)
+    cells = [(r, c, a) for r, row in enumerate(rows) for c, a in row]
+    return cells, denom, group_of, item_of
 
 
 def _augment(
-    adj: list[dict[int, int]], col_of: list[int], row_of: list[int], root: int
+    adj: list[dict[int, int]],
+    col_of: list[int],
+    row_of: list[int],
+    root: int,
+    moved: list[int],
 ) -> bool:
     """Match the free row ``root`` by one augmenting path (Kuhn's DFS).
 
     Rows try their columns in ascending order, and each column is visited
     at most once.  The search keeps an explicit stack, so paths as long as
-    the matrix need no recursion.  Returns False when no path exists.
+    the matrix need no recursion.  Each row whose column the path changes is
+    appended to ``moved``.  Returns False when no path exists.
     """
     reached_from: dict[int, int] = {}  # column -> the row that tried it
     stack = [(root, iter(adj[root]))]
@@ -220,6 +231,7 @@ def _augment(
                 r = reached_from[c]
                 row_of[c] = r
                 c, col_of[r] = col_of[r], c
+                moved.append(r)
                 if r == root:
                     return True
         else:
@@ -230,38 +242,43 @@ def _augment(
 def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
     """Split the group-item fractional matching into integral matchings.
 
-    The matrix is padded and checked by :func:`pad_square`, then scaled once
-    by the common denominator D of its masses, so every edge weight is an
-    exact int.  One perfect matching on the positive support is kept across
-    extractions: each extraction takes the minimum matched weight, subtracts
-    it from the matched edges and deletes those that reach zero.  Only the
-    rows those deletions left free are matched again, in ascending order, by
-    augmenting paths (:func:`_augment`); the first matching is built the
-    same way from an empty one.  Each weight is its minimum over D, and
-    dummy vertices are stripped from the output.
+    The matrix is padded, checked and scaled to exact ints by
+    :func:`pad_square`.  One perfect matching on the positive support is
+    kept across extractions: each extraction takes the minimum matched
+    weight, subtracts it from the matched edges and deletes those that
+    reach zero.  Only the rows those deletions left free are matched again,
+    in ascending order, by augmenting paths (:func:`_augment`); the first
+    matching is built the same way from an empty one.  The real part of the
+    matching (groups to items, dummies stripped) is kept as one dict that is
+    updated only at the rows the augmenting paths moved, and each extracted
+    matching is a copy of it.  Each weight is its minimum over D.
     """
-    cells, group_of, item_of = pad_square(groups, x)
+    cells, denom, group_of, item_of = pad_square(groups, x)
     size = len(group_of)
-    denom = math.lcm(*(frac.denominator for _, _, frac in cells))
     # Cells come sorted by (row, column), so each row's dict is in
     # ascending column order, and deletions keep it so.
     adj: list[dict[int, int]] = [{} for _ in range(size)]
-    for r, c, frac in cells:
-        adj[r][c] = frac.numerator * (denom // frac.denominator)
+    for r, c, a in cells:
+        adj[r][c] = a
     col_of, row_of = [-1] * size, [-1] * size
-    real_rows = [(r, g) for r, g in enumerate(group_of) if g is not None]
     free = list(range(size))
     edges = len(cells)
+    real: Matching = {}
     matchings: list[Matching] = []
     lams: list[int] = []
     while edges:
+        moved: list[int] = []
         for r in free:
-            if not _augment(adj, col_of, row_of, r):
+            if not _augment(adj, col_of, row_of, r, moved):
                 raise DecompositionFailure("no perfect matching in positive support")
+        for r in moved:
+            if (g := group_of[r]) is not None:
+                if (j := item_of[col_of[r]]) is None:
+                    real.pop(g, None)
+                else:
+                    real[g] = j
         lam = min(map(dict.__getitem__, adj, col_of))
-        matchings.append({
-            g: j for r, g in real_rows if (j := item_of[col_of[r]]) is not None
-        })
+        matchings.append(real.copy())
         lams.append(lam)
         free = []
         for r, (row, c) in enumerate(zip(adj, col_of)):
@@ -293,13 +310,19 @@ def allocation_from_matching(matching: Matching, num_items: int) -> Allocation:
 
 
 def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombination:
-    """Groups plus decomposition for a feasible column solution."""
+    """Groups plus decomposition for a feasible column solution.
+
+    Raises ``ValueError`` when a column has negative mass.
+    """
+    for k, (col, mass) in enumerate(zip(y.columns, y.mass)):
+        if mass < 0:
+            raise ValueError(
+                f"column {k} (agent {col.agent}, items {col.items}) "
+                f"has negative mass {mass}"
+            )
     n, m = instance.num_agents, instance.num_items
     x = marginals(y, n, m)
-    groups: GroupSet = {}
-    for i in range(n):
-        if sum(x[i], _ZERO) > 0:
-            groups[i] = build_groups(instance, x, i)
+    groups: GroupSet = {i: build_groups(instance, x, i) for i in range(n) if any(x[i])}
     return decompose(groups, x)
 
 
@@ -316,8 +339,8 @@ def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation
     ints = []  # each agent's values as ints over their common denominator
     terms = []  # (agent, weight, numerator, denominator), positive weights only
     for i, (agent, scale) in enumerate(zip(instance.agents, instance.scales)):
-        d = math.lcm(*(v.denominator for v in agent.values))
-        ints.append([v.numerator * (d // v.denominator) for v in agent.values])
+        row, d = _int_values(agent.values)
+        ints.append(row)
         if agent.weight != 0:
             terms.append(
                 (i, float(agent.weight), scale.numerator, scale.denominator * d)

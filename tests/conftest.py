@@ -107,9 +107,118 @@ def knapsack_cover(units, costs, target):
     return chosen
 
 
+def fraction_groups(instance: Instance, x, i):
+    """Agent i's unit-mass groups sliced in ``Fraction`` arithmetic: the
+    reference for ``build_groups``' integer slicing.
+
+    Items go by non-increasing value, ties by smaller index; each group is
+    filled to mass exactly 1, splitting an item across the boundary.
+    """
+    vals = instance.agents[i].values
+    groups, current, room = [], {}, Fraction(1)
+    for j in sorted(range(instance.num_items), key=lambda j: (-vals[j], j)):
+        rest = x[i][j]
+        while rest > 0:
+            take = min(rest, room)
+            current[j] = current.get(j, Fraction(0)) + take
+            room -= take
+            rest -= take
+            if room == 0:
+                groups.append(current)
+                current, room = {}, Fraction(1)
+    if current:
+        groups.append(current)
+    return groups
+
+
+def fraction_pad_square(groups, x):
+    """``pad_square`` in ``Fraction`` arithmetic on tuple-keyed dicts: the
+    reference for the integer padding.
+
+    Rows are ("g", agent, group index), ("dg", item) and ("pr", k); columns
+    ("i", item), ("di", group row) and ("pc", k).  Returns (cells, group_of,
+    item_of) with ``Fraction`` cell masses sorted by (row, column).
+    """
+    from nswlp import DecompositionFailure
+
+    one, zero = Fraction(1), Fraction(0)
+    m = len(x[0]) if x else 0
+    edges: dict = {}
+    row_keys: list = []
+    for i in sorted(groups):
+        for t, g in enumerate(groups[i]):
+            rk = ("g", i, t)
+            row_keys.append(rk)
+            edges[rk] = {("i", j): frac for j, frac in sorted(g.items())}
+    col_sum = {j: zero for j in range(m)}
+    for rk in row_keys:
+        for (_, j), frac in edges[rk].items():
+            col_sum[j] += frac
+    for j, s in col_sum.items():
+        if s > 1:
+            raise DecompositionFailure(f"item {j} carries mass {s} > 1")
+    col_keys = [("i", j) for j in range(m)]
+    for rk in row_keys:
+        mass = sum(edges[rk].values(), zero)
+        if mass > 1:
+            raise DecompositionFailure(f"group {rk} carries mass {mass} > 1")
+        if mass < 1:
+            ck = ("di", rk)
+            col_keys.append(ck)
+            edges[rk][ck] = one - mass
+    col_deficit: dict = {}
+    row_deficit: dict = {}
+    for j in range(m):
+        if col_sum[j] < 1:
+            rk = ("dg", j)
+            row_keys.append(rk)
+            edges[rk] = {("i", j): one - col_sum[j]}
+            row_deficit[rk] = col_sum[j]
+    for ck in col_keys:
+        if ck[0] == "di":
+            col_deficit[ck] = one - edges[ck[1]][ck]
+    while len(row_keys) < len(col_keys):
+        rk = ("pr", len(row_keys))
+        row_keys.append(rk)
+        edges[rk] = {}
+        row_deficit[rk] = one
+    while len(col_keys) < len(row_keys):
+        ck = ("pc", len(col_keys))
+        col_keys.append(ck)
+        col_deficit[ck] = one
+    drows = [rk for rk in row_keys if row_deficit.get(rk, zero) > 0]
+    dcols = [ck for ck in col_keys if col_deficit.get(ck, zero) > 0]
+    if sum((row_deficit[r] for r in drows), zero) != sum(
+        (col_deficit[c] for c in dcols), zero
+    ):
+        raise DecompositionFailure("padding deficits do not balance")
+    ri = ci = 0
+    while ri < len(drows) and ci < len(dcols):
+        r, c = drows[ri], dcols[ci]
+        take = min(row_deficit[r], col_deficit[c])
+        if take > 0:
+            edges[r][c] = edges[r].get(c, zero) + take
+            row_deficit[r] -= take
+            col_deficit[c] -= take
+        if row_deficit[r] == 0:
+            ri += 1
+        if ci < len(dcols) and col_deficit[c] == 0:
+            ci += 1
+    col_of = {ck: c for c, ck in enumerate(col_keys)}
+    cells = sorted(
+        (r, col_of[ck], frac)
+        for r, rk in enumerate(row_keys)
+        for ck, frac in edges[rk].items()
+    )
+    group_of = [(rk[1], rk[2]) if rk[0] == "g" else None for rk in row_keys]
+    item_of = [ck[1] if ck[0] == "i" else None for ck in col_keys]
+    return cells, group_of, item_of
+
+
 def fraction_extraction(groups, x):
-    """Birkhoff-von-Neumann extraction on ``pad_square``'s matrix, all in
-    ``Fraction`` arithmetic: the reference for ``decompose``'s integer path.
+    """Birkhoff-von-Neumann extraction on ``fraction_pad_square``'s matrix,
+    all in ``Fraction`` arithmetic: the reference for ``decompose``'s
+    integer path.
 
     The matching is repaired, not rebuilt: it starts empty, and after each
     extraction only the rows whose matched edge ran out are matched again,
@@ -117,9 +226,7 @@ def fraction_extraction(groups, x):
     in ascending order.  Returns (matchings, weights, padded_edges) like
     ``MatchingCombination``.
     """
-    from nswlp.rounding import pad_square
-
-    cells, group_of, item_of = pad_square(groups, x)
+    cells, group_of, item_of = fraction_pad_square(groups, x)
     size = len(group_of)
     rest = [{} for _ in range(size)]
     for r, c, frac in cells:

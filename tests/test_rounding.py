@@ -25,6 +25,8 @@ from nswlp.configlp import Column, ColumnSolution
 from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
     fraction_extraction,
+    fraction_groups,
+    fraction_pad_square,
     positive_instance,
     random_column_solution,
     random_feasible_marginals,
@@ -145,6 +147,41 @@ def test_groups_random_marginals(rng):
             if sum(x[i], F(0)) == 0:
                 continue
             groups_obey_invariants(inst, x, i, build_groups(inst, x, i))
+
+
+LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1, 10**9 + 9)
+
+
+def large_prime_marginals(rng, n):
+    """x over LARGE_PRIMES items: each item's mass 1 cut among n agents on
+    a 1/p lattice, so common denominators run far past 2**64."""
+    m = len(LARGE_PRIMES)
+    x = [[F(0)] * m for _ in range(n)]
+    for j, p in enumerate(LARGE_PRIMES):
+        cuts = sorted(rng.randrange(1, p) for _ in range(n))
+        for i in range(n):
+            x[i][j] = F(cuts[i] - (cuts[i - 1] if i else 0), p)
+    return x
+
+
+def test_groups_match_fraction_reference(rng):
+    cases = []
+    for denom in (6, 12, 35, 60):
+        for _ in range(40):
+            n, m = rng.randint(1, 4), rng.randint(1, 12)
+            cases.append((positive_instance(rng, n, m),
+                          random_feasible_marginals(rng, n, m, denom)))
+    for _ in range(5):
+        n = rng.randint(1, 4)
+        cases.append((positive_instance(rng, n, len(LARGE_PRIMES)),
+                      large_prime_marginals(rng, n)))
+    checked = 0
+    for inst, x in cases:
+        for i in range(inst.num_agents):
+            if sum(x[i], F(0)) > 0:
+                assert build_groups(inst, x, i) == fraction_groups(inst, x, i)
+                checked += 1
+    assert checked > 300
 
 
 def test_item_order_matches_negated_key_on_ties(rng):
@@ -275,8 +312,12 @@ def test_decompose_matches_fraction_reference(rng):
     ],
 )
 def test_decompose_raises_without_perfect_matching(monkeypatch, cells):
+    denom = math.lcm(*(frac.denominator for _, _, frac in cells))
+    int_cells = [(r, c, int(frac * denom)) for r, c, frac in cells]
     monkeypatch.setattr(
-        rounding, "pad_square", lambda groups, x: (cells, [(0, 0), (1, 0)], [0, 1])
+        rounding,
+        "pad_square",
+        lambda groups, x: (int_cells, denom, [(0, 0), (1, 0)], [0, 1]),
     )
     with pytest.raises(
         DecompositionFailure, match="no perfect matching in positive support"
@@ -284,20 +325,13 @@ def test_decompose_raises_without_perfect_matching(monkeypatch, cells):
         decompose({}, [])
 
 
-LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1, 10**9 + 9)
-
-
 def test_decompose_exact_with_denominators_beyond_int64(rng):
-    n, m = 3, len(LARGE_PRIMES)
-    inst = positive_instance(rng, n, m)
-    x = [[F(0)] * m for _ in range(n)]
-    for j, p in enumerate(LARGE_PRIMES):
-        cuts = sorted(rng.randrange(1, p) for _ in range(n))
-        for i in range(n):
-            x[i][j] = F(cuts[i] - (cuts[i - 1] if i else 0), p)
+    n = 3
+    inst = positive_instance(rng, n, len(LARGE_PRIMES))
+    x = large_prime_marginals(rng, n)
     groups = marginal_groups(inst, x)
-    cells, _, _ = pad_square(groups, x)
-    assert math.lcm(*(frac.denominator for _, _, frac in cells)) > 2**64
+    _, denom, _, _ = pad_square(groups, x)
+    assert denom > 2**64
     comb = decompose(groups, x)
     assert sum(comb.weights, F(0)) == 1
     assert all(isinstance(lam, Fraction) and lam > 0 for lam in comb.weights)
@@ -310,6 +344,57 @@ def test_decompose_exact_with_denominators_beyond_int64(rng):
     assert (comb.matchings, comb.weights, comb.padded_edges) == (
         fraction_extraction(groups, x)
     )
+
+
+def pad_square_matches_fraction_reference(groups, x):
+    cells, denom, group_of, item_of = pad_square(groups, x)
+    ref_cells, ref_group_of, ref_item_of = fraction_pad_square(groups, x)
+    assert denom == math.lcm(*(frac.denominator for _, _, frac in ref_cells))
+    assert all(type(a) is int for _, _, a in cells)
+    assert cells == [(r, c, frac * denom) for r, c, frac in ref_cells]
+    assert (group_of, item_of) == (ref_group_of, ref_item_of)
+    return denom
+
+
+def test_pad_square_matches_fraction_reference(rng):
+    checked = 0
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 12)
+        inst = positive_instance(rng, n, m)
+        x = random_feasible_marginals(rng, n, m, denom=rng.choice([6, 12, 35, 60]))
+        groups = marginal_groups(inst, x)
+        if groups:
+            pad_square_matches_fraction_reference(groups, x)
+            checked += 1
+    assert checked > 100
+    for n in (1, 3, 5):
+        inst = positive_instance(rng, n, len(LARGE_PRIMES))
+        x = large_prime_marginals(rng, n)
+        groups = marginal_groups(inst, x)
+        assert pad_square_matches_fraction_reference(groups, x) > 2**64
+
+
+@pytest.mark.parametrize(
+    "groups, x, message",
+    [
+        (
+            {0: [{0: F(3, 4)}], 1: [{0: F(3, 4)}]},
+            [[F(3, 4)], [F(3, 4)]],
+            "item 0 carries mass 3/2 > 1",
+        ),
+        (
+            {0: [{0: F(1)}], 1: [{1: F(1, 2), 2: F(5, 6)}]},
+            [[F(1), F(0), F(0)], [F(0), F(1, 2), F(5, 6)]],
+            "group ('g', 1, 0) carries mass 4/3 > 1",
+        ),
+    ],
+)
+def test_pad_square_overfull_raises_like_fraction_reference(groups, x, message):
+    with pytest.raises(DecompositionFailure) as got:
+        pad_square(groups, x)
+    with pytest.raises(DecompositionFailure) as want:
+        fraction_pad_square(groups, x)
+    assert str(got.value) == str(want.value) == message
 
 
 # -- allocation and selection -----------------------------------------------------
@@ -474,6 +559,22 @@ def test_best_allocation_all_worthless_returns_first():
     mats = ({(0, 0): 1}, {(1, 0): 0}, {})
     comb = MatchingCombination(matchings=mats, weights=(), padded_edges=0)
     assert best_allocation(inst, comb).owner == (None, 0)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # Agent 0's masses sum to 0, so a total-mass test alone skips it.
+        [(0, (0,), "1/2"), (0, (1,), "-1/2"), (1, (1,), 1)],
+        # Agent 0's marginals stay positive, so slicing alone absorbs the -1/2.
+        [(0, (0, 1), 1), (0, (1,), "-1/2"), (1, (2,), 1)],
+    ],
+)
+def test_round_combination_rejects_negative_mass(entries):
+    inst = make_instance(["1/2", "1/2"], [[1, 2, 3], [3, 2, 1]])
+    y = colsol(inst, entries)
+    with pytest.raises(ValueError, match=r"column 1 \(agent 0, .*negative mass -1/2"):
+        round_combination(inst, y)
 
 
 def test_round_best_from_solver_fractional_vertex():

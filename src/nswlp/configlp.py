@@ -6,10 +6,11 @@ of bundles; each round adds the new columns and re-solves it warm from the
 last basis, in doubles, for its duals.  A ratio screen prices at most one
 violated bundle per agent at those duals, and the knapsack-cover separation
 oracle runs only when the screen finds nothing, so the last round is always
-a full oracle pass.  The exact rational simplex then solves the pool's
-support, and the driver checks its value against the dual bound.  The
-central-cut ellipsoid over the dual, the source paper's polynomial-time
-method, is kept as a reference (``ellipsoid_run``).
+a full oracle pass.  HiGHS's final basis is then solved once in exact
+integer arithmetic and checked, with the exact rational simplex over the
+whole pool as the fallback, and the driver checks the value against the
+dual bound.  The central-cut ellipsoid over the dual, the source paper's
+polynomial-time method, is kept as a reference (``ellipsoid_run``).
 
 All bundle data and the final LP vertex stay rational; logarithms, the
 LP duals and the ellipsoid work in doubles.
@@ -17,13 +18,14 @@ LP duals and the ellipsoid work in doubles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus, _Highs
 
 from .core import (
     Infeasible,
@@ -45,10 +47,6 @@ _FINITE_CHECK_PERIOD = 64
 # zero reduced cost, so without it float noise re-prices them; it must not
 # be smaller than HiGHS's dual feasibility tolerance (1e-7).
 _PRICE_TOL = 1e-6
-
-# HiGHS primal values above this put a column in the support that the
-# exact simplex re-solves.
-_SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,25 +104,31 @@ _EPS_RANGE_MSG = "epsilon must be in (0, 1]"
 class _Guess:
     """Precomputed DP data for one (agent, top-value) guess."""
 
-    __slots__ = ("items", "z", "vals_f", "zcap")
+    __slots__ = ("items", "z", "vals_f", "zcap", "ln_total")
 
-    def __init__(self, items, z, vals_f, zcap):
+    def __init__(self, items, z, vals_f, zcap, ln_total):
         self.items = items
         self.z = z
         self.vals_f = vals_f
         self.zcap = zcap
+        self.ln_total = ln_total  # ln of the exact value of all its items
 
 
 class _AgentPlan:
-    __slots__ = ("agent", "w_f", "order", "order_vals", "guesses", "values")
+    __slots__ = ("agent", "w_f", "order", "order_vals", "guesses", "ints", "denom")
 
-    def __init__(self, agent, w_f, order, order_vals, guesses, values):
+    def __init__(self, agent, w_f, order, order_vals, guesses, ints, denom):
         self.agent = agent
         self.w_f = w_f
         self.order = order            # positive items, by value desc then index
         self.order_vals = order_vals  # their values as doubles
         self.guesses = guesses
-        self.values = values          # Fractions, for exact re-evaluation
+        self.ints = ints              # every value times denom, exactly
+        self.denom = denom            # lcm of the values' denominators
+
+    def bundle_float(self, items) -> float:
+        """v_i(items) as the nearest double (the float of the exact sum)."""
+        return sum(self.ints[j] for j in items) / self.denom
 
 
 def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
@@ -132,40 +136,41 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
         raise ValueError(_EPS_RANGE_MSG)
     m = instance.num_items
     eps_frac = Fraction(str(epsilon))
+    # Unit eps * v* / (2m); z_j = floor(v_j / unit) = floor(v_j * num / (eps_num * v*)).
+    num = 2 * m * eps_frac.denominator
     plans = []
     for i, agent in enumerate(instance.agents):
-        for v in agent.values:
-            if v != 0 and v < 1:
-                raise ValueError("instance must be scaled: values 0 or >= 1")
-        pos = sorted(
-            (j for j in range(m) if agent.values[j] > 0),
-            key=lambda j: (-agent.values[j], j),
-        )
+        denom = math.lcm(*(v.denominator for v in agent.values))
+        ints = [v.numerator * (denom // v.denominator) for v in agent.values]
+        if any(0 < x < denom for x in ints):
+            raise ValueError("instance must be scaled: values 0 or >= 1")
+        pos = sorted((j for j in range(m) if ints[j] > 0), key=lambda j: (-ints[j], j))
         if not pos:
-            plans.append(_AgentPlan(i, float(agent.weight), None, None, [], agent.values))
+            plans.append(_AgentPlan(i, float(agent.weight), None, None, [], ints, denom))
             continue
         order = np.asarray(pos, dtype=np.int64)
-        order_vals = np.asarray([float(agent.values[j]) for j in pos])
+        order_vals = np.asarray([ints[j] / denom for j in pos])
+        suffix_totals = list(itertools.accumulate(ints[j] for j in reversed(pos)))[::-1]
         guesses = []
         seen_values = set()
         for start, jstar in enumerate(pos):
-            vstar = agent.values[jstar]
-            if vstar in seen_values:
+            top = ints[jstar]
+            if top in seen_values:
                 continue
-            seen_values.add(vstar)
-            unit = eps_frac * vstar / (2 * m)
-            sub = pos[start:]
-            z = np.asarray([int(agent.values[j] / unit) for j in sub], dtype=np.int64)
+            seen_values.add(top)
+            den = eps_frac.numerator * top
+            z = np.asarray([ints[j] * num // den for j in pos[start:]], dtype=np.int64)
             guesses.append(
                 _Guess(
-                    items=np.asarray(sub, dtype=np.int64),
+                    items=order[start:],
                     z=z,
-                    vals_f=np.asarray([float(agent.values[j]) for j in sub]),
+                    vals_f=order_vals[start:],
                     zcap=int(z.sum()),
+                    ln_total=math.log(suffix_totals[start] / denom),
                 )
             )
         plans.append(
-            _AgentPlan(i, float(agent.weight), order, order_vals, guesses, agent.values)
+            _AgentPlan(i, float(agent.weight), order, order_vals, guesses, ints, denom)
         )
     return plans
 
@@ -210,10 +215,10 @@ def _reconstruct(z: np.ndarray, choice: np.ndarray, t: int) -> list[int]:
 
 def _verify_cut(plan: _AgentPlan, item_ids, alpha, beta_i, ln_slack) -> bool:
     lhs = float(alpha[item_ids].sum()) + beta_i
-    total = sum((plan.values[j] for j in item_ids), _ZERO)
+    total = plan.bundle_float(item_ids)
     if total <= 0:
         return False
-    rhs = plan.w_f * (ln_slack + math.log(float(total)))
+    rhs = plan.w_f * (ln_slack + math.log(total))
     return lhs < rhs
 
 
@@ -255,9 +260,15 @@ def _oracle_query(
     ln_slack: float,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     # Sweep over (agent, top-value) guesses; exact within the rounding.
+    # With alpha >= 0 a bundle's verified margin is at most
+    # w_i * (ln_slack + ln(its guess's total)) - beta_i, and the totals
+    # shrink along the guesses, so the first guess where that is <= 0 ends
+    # the agent's search.
     for plan in plans:
         beta_i = float(beta[plan.agent])
         for guess in plan.guesses:
+            if plan.w_f * (ln_slack + guess.ln_total) <= beta_i:
+                break
             cost, val, choice = _sweep(guess.z, alpha[guess.items], guess.vals_f, guess.zcap)
             with np.errstate(divide="ignore", invalid="ignore"):
                 rhs = plan.w_f * (ln_slack + np.log(val))
@@ -282,13 +293,16 @@ def separation_oracle(
     the remaining values down to multiples of eps*v*/(2m), and solves the
     min-cost cover problem for every reachable rounded total; every returned
     pair is re-checked against the inequality before being reported.
-    Returns None when no guess produces a qualifying pair.
+    Returns None when no guess produces a qualifying pair.  Raises
+    ValueError on a negative alpha, which lies outside the dual.
     """
     plans = _build_plans(scaled, epsilon)
     alpha = np.asarray(dual.alpha, dtype=float)
     beta = np.asarray(dual.beta, dtype=float)
     if alpha.shape != (scaled.num_items,) or beta.shape != (scaled.num_agents,):
         raise ValueError("dual point has wrong dimensions")
+    if (alpha < 0).any():
+        raise ValueError("dual point has a negative alpha")
     return _oracle_query(plans, alpha, beta, math.log1p(epsilon / 2.0))
 
 
@@ -511,10 +525,17 @@ class _HighsLP:
         rows = np.asarray([*items, self._m + agent], dtype=np.int32)
         self._h.addCol(cost, 0.0, self._inf, len(rows), rows, np.ones(len(rows)))
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column values, alpha (item duals, clipped at 0) and beta (agent
-        duals) at the optimum: HiGHS's row duals of the minimisation,
-        negated."""
+    def basis(self) -> tuple[list[int], list[int]]:
+        """The basic column indices, and the rows that are not basic, hence
+        tight: items are rows 0..m-1, agents follow."""
+        b = self._h.getBasis()
+        basic = [c for c, s in enumerate(b.col_status) if s == HighsBasisStatus.kBasic]
+        tight = [r for r, s in enumerate(b.row_status) if s != HighsBasisStatus.kBasic]
+        return basic, tight
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alpha (item duals, clipped at 0) and beta (agent duals) at the
+        optimum: HiGHS's row duals of the minimisation, negated."""
         h = self._h
         h.run()
         status = h.getModelStatus()
@@ -523,7 +544,68 @@ class _HighsLP:
         sol = h.getSolution()
         dual = np.asarray(sol.row_dual)
         m = self._m
-        return np.asarray(sol.col_value), np.maximum(-dual[:m], 0.0), -dual[m:]
+        return np.maximum(-dual[:m], 0.0), -dual[m:]
+
+
+def _basis_vertex(
+    work: Instance,
+    cols: Sequence[tuple[int, tuple[int, ...]]],
+    basic: Sequence[int],
+    tight: Sequence[int],
+) -> Optional[ColumnSolution]:
+    """The vertex of a basis of the restricted primal, solved exactly.
+
+    Columns outside ``basic`` sit at 0 and every ``tight`` row at its bound
+    1, so the basic masses solve the square 0/1 system
+    A[tight, basic] y = 1.  Fraction-free (Bareiss) Gauss-Jordan
+    elimination on ints gives each y as numerator / det.  Returns None when
+    the system is not square or singular, or when y is not exactly
+    feasible: some y < 0, an item load above 1 or an agent load other
+    than 1.
+    """
+    k = len(basic)
+    if len(tight) != k:
+        return None
+    m = work.num_items
+    rows_of = [{*cols[c][1], m + cols[c][0]} for c in basic]
+    a = [[1 if r in rs else 0 for rs in rows_of] + [1] for r in tight]
+    prev = 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if a[r][c]), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        top = a[c]
+        piv = top[c]
+        # Columns left of c are final: zero, or a diagonal that ends as det.
+        for r in range(k):
+            if r != c:
+                row = a[r]
+                f = row[c]
+                if f:
+                    row[c:] = [(piv * x - f * y) // prev for x, y in zip(row[c:], top[c:])]
+                elif piv != prev:
+                    row[c:] = [piv * x // prev for x in row[c:]]
+        prev = piv
+    det = prev
+    nums = [row[k] for row in a]
+    if det < 0:
+        det = -det
+        nums = [-v for v in nums]
+    if any(v < 0 for v in nums):
+        return None
+    item_load = [0] * m
+    agent_load = [0] * work.num_agents
+    for c, v in zip(basic, nums):
+        i, items = cols[c]
+        agent_load[i] += v
+        for j in items:
+            item_load[j] += v
+    if any(v > det for v in item_load) or any(v != det for v in agent_load):
+        return None
+    # Pool order, as _augment_columns sorts it, so lp_value sums the same way.
+    picked = sorted((cols[c], Fraction(v, det)) for c, v in zip(basic, nums))
+    return _column_solution(work, [key for key, _ in picked], [y for _, y in picked])
 
 
 def solve_restricted_primal(
@@ -605,11 +687,13 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     oracle finds none, the shifted duals are feasible, so the LP optimum is
     at most bound = sum(alpha) + sum(beta) + n * _PRICE_TOL.
 
-    The exact rational simplex then solves the columns HiGHS gave positive
-    mass, with the baseline singletons, and the driver checks the
+    The exact stage solves HiGHS's final basis once (Applegate, Cook, Dash
+    & Espinoza 2007): ``_basis_vertex`` eliminates its square 0/1 system on
+    ints and checks the vertex exactly, and the driver checks the
     certificate bound - lp_value <= ln(1+eps/2) + n * _PRICE_TOL + 1e-9.  If
-    it fails, the whole pool is solved exactly and checked again.  The
-    returned masses are exactly feasible.
+    either check fails, the exact rational simplex solves the whole pool
+    and the certificate is checked again.  The returned masses are exactly
+    feasible.
 
     Raises NumericalCollapse when HiGHS does not report an optimum, the
     screen or the oracle re-prices a pooled column, or the exact pool value
@@ -639,16 +723,14 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
 
     def add(key: tuple[int, tuple[int, ...]]) -> None:
         i, items = key
-        cost = -float(work.agents[i].weight) * (
-            ln_slack + math.log(float(work.bundle_value(i, items)))
-        )
+        cost = -plans[i].w_f * (ln_slack + math.log(plans[i].bundle_float(items)))
         model.add_column(cost, i, items)
 
     pool = set(cols)
     for key in cols:
         add(key)
     while True:
-        x, alpha, beta = model.solve()
+        alpha, beta = model.solve()
         priced = beta + _PRICE_TOL
         found = _ratio_screen(plans, alpha, priced, ln_slack)
         if not found:
@@ -664,15 +746,13 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
             add(key)
     bound = float(alpha.sum() + beta.sum()) + n * _PRICE_TOL
     gap_cap = ln_slack + n * _PRICE_TOL + 1e-9
-    support = baseline + [key for key, y in zip(cols, x) if y > _SUPPORT_TOL]
-    for candidate in (support, cols):
-        work_sol = solve_restricted_primal(work, candidate, eps_run)
-        if bound - work_sol.lp_value <= gap_cap:
-            break
-    else:
-        raise NumericalCollapse(
-            f"exact pool value {work_sol.lp_value!r} misses the dual bound {bound!r}"
-        )
+    work_sol = _basis_vertex(work, cols, *model.basis())
+    if work_sol is None or bound - work_sol.lp_value > gap_cap:
+        work_sol = solve_restricted_primal(work, cols, eps_run)
+        if bound - work_sol.lp_value > gap_cap:
+            raise NumericalCollapse(
+                f"exact pool value {work_sol.lp_value!r} misses the dual bound {bound!r}"
+            )
     # Map agents back and restate the value in original space.
     return _column_solution(
         instance,

@@ -203,6 +203,26 @@ def test_bench_parallel_matches_serial(tmp_path):
     assert strip_runtime(a.read_text()) == strip_runtime(b.read_text())
 
 
+def test_bench_directory_named_like_an_instance(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    write_instance(d / "a.json", ["1"], [[1, 2]])
+    (d / "x.json").mkdir()
+    assert main(["bench", str(d), "-o", str(tmp_path / "b.csv")]) == 2
+    assert f"error: {d / 'x.json'}: " in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_bench_malformed_json_names_the_file(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "bad.json").write_text("{not json")
+    assert main(["bench", str(d), "-o", str(tmp_path / "b.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {d / 'bad.json'}: malformed JSON at line 1" in err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     inst_path = tmp_path / "i.json"
     write_instance(inst_path, ["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])

@@ -161,6 +161,74 @@ def test_oracle_complete_and_sound_on_random_duals():
     assert found > 50  # the sample exercises both branches
 
 
+def test_plans_on_ints_match_fraction_arithmetic():
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        m = rng.randint(max(2, n), 9)
+        inst = random_solvable_instance(n, m, rng, dist=rng.choice(["uniform", "zipf"]))
+        work = scaled_work(inst)
+        eps = rng.choice([0.025, 0.1, 0.25])
+        for plan, agent in zip(configlp._build_plans(work, eps), work.agents):
+            for guess in plan.guesses:
+                values = [agent.values[j] for j in guess.items]
+                unit = Fraction(str(eps)) * values[0] / (2 * m)
+                assert guess.z.tolist() == [int(v / unit) for v in values]
+                assert guess.vals_f.tolist() == [float(v) for v in values]
+                assert guess.ln_total == math.log(float(sum(values)))
+            items = [j for j in range(m) if rng.random() < 0.5]
+            assert plan.bundle_float(items) == float(sum(agent.values[j] for j in items))
+
+
+def _oracle_query_every_guess(plans, alpha, beta, ln_slack):
+    """``_oracle_query`` without its early exit: sweeps every guess."""
+    for plan in plans:
+        beta_i = float(beta[plan.agent])
+        for guess in plan.guesses:
+            cost, val, choice = _sweep(guess.z, alpha[guess.items], guess.vals_f, guess.zcap)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                margin = plan.w_f * (ln_slack + np.log(val)) - (cost + beta_i)
+            margin[~(np.isfinite(cost) & (val > 0))] = -np.inf
+            t = int(np.argmax(margin))
+            if margin[t] <= 0.0:
+                continue
+            ids = guess.items[configlp._reconstruct(guess.z, choice, t)]
+            if configlp._verify_cut(plan, ids, alpha, beta_i, ln_slack):
+                return plan.agent, tuple(int(j) for j in sorted(ids))
+    return None
+
+
+def test_oracle_early_exit_matches_every_guess_sweep():
+    rng = random.Random(31)
+    ln_slack = math.log1p(0.05)
+    found = skipped = 0
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        m = rng.randint(max(2, n), 8)
+        inst = random_solvable_instance(n, m, rng, dist=rng.choice(["uniform", "zipf"]))
+        work = scaled_work(inst)
+        plans = configlp._build_plans(work, 0.1)
+        vmax = max(float(max(a.values)) for a in work.agents)
+        hi = math.log(m * vmax * vmax) + 0.5
+        for _ in range(5):
+            alpha = np.asarray([rng.uniform(0, hi / m) for _ in range(m)])
+            beta = np.asarray([rng.uniform(-hi / 2, hi) for _ in range(n)])
+            got = configlp._oracle_query(plans, alpha, beta, ln_slack)
+            assert got == _oracle_query_every_guess(plans, alpha, beta, ln_slack)
+            found += got is not None
+            skipped += any(
+                p.w_f * (ln_slack + g.ln_total) <= beta[p.agent]
+                for p in plans for g in p.guesses
+            )
+    assert found > 50 and skipped > 50
+
+
+def test_oracle_rejects_negative_alpha():
+    work = scaled_work(make_instance(["1"], [[4, 2]]))
+    with pytest.raises(ValueError, match="negative alpha"):
+        separation_oracle(work, 0.1, DualPoint(alpha=(0.5, -0.1), beta=(0.0,)))
+
+
 def test_oracle_handles_zero_weight_agent():
     inst = make_instance(["1", "0"], [[2, 1], [1, 1]])
     work = scaled_work(inst)
@@ -449,7 +517,7 @@ def test_solve_lp_highs_failure_raises(monkeypatch):
 # Every method configlp._HighsLP calls on scipy's private binding.
 HIGHS_METHODS = (
     "setOptionValue", "getInfinity", "addRows", "addCol", "run",
-    "getModelStatus", "modelStatusToString", "getSolution",
+    "getModelStatus", "modelStatusToString", "getSolution", "getBasis",
 )
 
 
@@ -468,18 +536,29 @@ def test_highs_binding_surface_and_dual_signs():
     model = configlp._HighsLP(2, 3)
     for (i, items), c in zip(cols, objective):
         model.add_column(-c, i, items)
-    x, alpha, beta = model.solve()
-    assert x == pytest.approx([0.5, 0.5, 0.5, 0.0, 0.5], abs=1e-9)
+    alpha, beta = model.solve()
     assert alpha == pytest.approx([1.0, 1.0, 0.0], abs=1e-9)
     assert beta == pytest.approx([3.0, 3.0], abs=1e-9)
+    # The optimal basis, solved exactly, is the vertex with 1/2 on every
+    # column but y0{0,2}.
+    work = make_instance(["1/2", "1/2"], [[1, 1, 1], [1, 1, 1]])
+
+    def vertex():
+        sol = configlp._basis_vertex(work, cols, *model.basis())
+        return dict(zip(((c.agent, c.items) for c in sol.columns), sol.mass))
+
+    assert vertex() == {cols[k]: Fraction(1, 2) for k in (0, 1, 2, 4)}
     # A column added later joins the kept model: at those duals the bundle
     # {0, 1, 2} for agent 1 is worth 7 > alpha(S) + beta_1 = 5, so it enters,
     # and strong duality holds again.
-    model.add_column(-7.0, 1, (0, 1, 2))
-    x, alpha, beta = model.solve()
-    assert x[-1] > 0
+    cols.append((1, (0, 1, 2)))
+    objective.append(7.0)
+    model.add_column(-7.0, *cols[-1])
+    alpha, beta = model.solve()
+    y = vertex()
+    assert y[cols[-1]] > 0
     assert float(alpha.sum() + beta.sum()) == pytest.approx(
-        sum(c * y for c, y in zip(objective + [7.0], x)), abs=1e-9
+        sum(c * float(y.get(key, 0)) for c, key in zip(objective, cols)), abs=1e-9
     )
 
 
@@ -511,20 +590,34 @@ def test_ratio_screen_returns_verified_cuts_at_most_one_per_agent():
     assert returned > 100
 
 
-def _support_solve_sabotaged(monkeypatch, calls_to_spoil):
-    """Let solve_restricted_primal see only singleton columns on the first
-    ``calls_to_spoil`` calls; returns the list of pool sizes it was given."""
-    real = configlp.solve_restricted_primal
+def _exact_solves_sabotaged(monkeypatch, calls_to_spoil):
+    """Spoil the first ``calls_to_spoil`` exact solves, the basis vertex
+    first and then the pool simplex: each returns the optimum over the
+    singleton columns only (epsilon shifts the objective by a constant, so
+    any value gives that vertex).  Returns the list of pool sizes they were
+    given."""
+    real_vertex = configlp._basis_vertex
+    real_primal = configlp.solve_restricted_primal
     sizes = []
 
-    def spoiled(scaled, columns, epsilon):
+    def singletons(columns):
+        return [c for c in columns if len(c[1]) == 1]
+
+    def spoiled_vertex(work, cols, basic, tight):
+        sizes.append(len(cols))
+        if len(sizes) <= calls_to_spoil:
+            return real_primal(work, singletons(cols), 0.1)
+        return real_vertex(work, cols, basic, tight)
+
+    def spoiled_primal(scaled, columns, epsilon):
         columns = list(columns)
         sizes.append(len(columns))
         if len(sizes) <= calls_to_spoil:
-            columns = [c for c in columns if len(c[1]) == 1]
-        return real(scaled, columns, epsilon)
+            columns = singletons(columns)
+        return real_primal(scaled, columns, epsilon)
 
-    monkeypatch.setattr(configlp, "solve_restricted_primal", spoiled)
+    monkeypatch.setattr(configlp, "_basis_vertex", spoiled_vertex)
+    monkeypatch.setattr(configlp, "solve_restricted_primal", spoiled_primal)
     return sizes
 
 
@@ -532,18 +625,137 @@ def test_solve_lp_support_miss_falls_back_to_full_pool(monkeypatch):
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
     expected = solve_configuration_lp(inst, 0.1)
     assert any(len(c.items) > 1 for c in expected.columns)
-    sizes = _support_solve_sabotaged(monkeypatch, 1)
+    sizes = _exact_solves_sabotaged(monkeypatch, 1)
     sol = solve_configuration_lp(inst, 0.1)
-    assert len(sizes) == 2 and sizes[1] >= sizes[0]
+    assert len(sizes) == 2 and sizes[1] == sizes[0]
     assert sol == expected
 
 
 def test_solve_lp_certificate_failure_raises(monkeypatch):
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
-    sizes = _support_solve_sabotaged(monkeypatch, 2)
+    sizes = _exact_solves_sabotaged(monkeypatch, 2)
     with pytest.raises(NumericalCollapse, match="misses the dual bound"):
         solve_configuration_lp(inst, 0.1)
     assert len(sizes) == 2
+
+
+# -- exact basis vertex ----------------------------------------------------------
+
+
+def _assert_exactly_feasible(work, sol):
+    agent_mass = [Fraction(0)] * work.num_agents
+    item_mass = [Fraction(0)] * work.num_items
+    for col, y in zip(sol.columns, sol.mass):
+        assert y > 0
+        agent_mass[col.agent] += y
+        for j in col.items:
+            item_mass[j] += y
+    assert all(v == 1 for v in agent_mass)
+    assert all(v <= 1 for v in item_mass)
+
+
+def test_basis_vertex_is_exact_and_matches_simplex(monkeypatch):
+    real = configlp._basis_vertex
+    seen = []
+
+    def recording(work, cols, basic, tight):
+        sol = real(work, cols, basic, tight)
+        seen.append((work, [cols[c] for c in basic], sol))
+        return sol
+
+    monkeypatch.setattr(configlp, "_basis_vertex", recording)
+    rng = random.Random(17)
+    cases = []
+    for k in range(150):
+        n = rng.randint(1, 4)
+        m = rng.randint(max(2, n), 9)
+        dist = "zipf" if k % 2 else "uniform"
+        cases.append((random_solvable_instance(n, m, rng, dist=dist), 0.1))
+    cases += [(make_instance(w, v), 0.1) for w, v in FRACTIONAL_FAMILY]
+    cases.append((random_solvable_instance(10, 30, random.Random(1), dist="zipf"), 0.025))
+    fractional = 0
+    for inst, eps in cases:
+        solve_configuration_lp(inst, eps)
+        work, basic_cols, sol = seen[-1]
+        assert sol is not None
+        _assert_exactly_feasible(work, sol)
+        assert [(c.agent, c.items) for c in sol.columns] == sorted(
+            (c.agent, c.items) for c in sol.columns
+        )
+        simplex = solve_restricted_primal(work, basic_cols, min(eps, 0.25))
+        assert sol.lp_value == pytest.approx(simplex.lp_value, abs=1e-9)
+        fractional += any(y < 1 for y in sol.mass)
+    assert len(seen) == len(cases)
+    assert fractional >= 3
+
+
+def test_basis_vertex_rejects_singular_and_non_square_bases():
+    work = make_instance(["1"], [[1, 2]])
+    twins = [(0, (0, 1)), (0, (0, 1))]
+    # rows: item 0, item 1, agent 0 (row 2)
+    assert configlp._basis_vertex(work, twins, [0, 1], [0, 2]) is None
+    assert configlp._basis_vertex(work, twins, [0], [0, 2]) is None
+
+
+def _fraction_vertex(work, cols, basic, tight):
+    """Reference for ``_basis_vertex``: Gauss-Jordan on Fraction rows, then
+    the same exact checks.  {column: mass} over the positive masses, or why
+    there is no vertex."""
+    k, m = len(basic), work.num_items
+    if len(tight) != k:
+        return "singular"
+    a = [
+        [Fraction(int(r in {*cols[c][1], m + cols[c][0]})) for c in basic] + [Fraction(1)]
+        for r in tight
+    ]
+    for c in range(k):
+        p = next((r for r in range(c, k) if a[r][c]), None)
+        if p is None:
+            return "singular"
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(k):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    y = {cols[c]: row[k] for c, row in zip(basic, a)}
+    agent_load = [Fraction(0)] * work.num_agents
+    item_load = [Fraction(0)] * m
+    for (i, items), v in y.items():
+        agent_load[i] += v
+        for j in items:
+            item_load[j] += v
+    if min(y.values()) < 0:
+        return "negative"
+    if max(item_load) > 1 or any(v != 1 for v in agent_load):
+        return "overloaded"
+    return {key: v for key, v in y.items() if v}
+
+
+def test_basis_vertex_agrees_with_fraction_elimination():
+    rng = random.Random(23)
+    outcomes = {"vertex": 0, "singular": 0, "negative": 0, "overloaded": 0}
+    for _ in range(600):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        work = make_instance(["1"] * n, [[rng.randint(1, 5) for _ in range(m)] for _ in range(n)])
+        bundles = {
+            (rng.randrange(n), tuple(sorted(rng.sample(range(m), rng.randint(1, m)))))
+            for _ in range(rng.randint(1, 8))
+        }
+        cols = sorted(bundles, key=lambda _: rng.random())
+        k = rng.randint(1, min(len(cols), n + m))
+        basic = rng.sample(range(len(cols)), k)
+        tight = sorted(rng.sample(range(n + m), k))
+        got = configlp._basis_vertex(work, cols, basic, tight)
+        want = _fraction_vertex(work, cols, basic, tight)
+        if isinstance(want, str):
+            assert got is None, want
+            outcomes[want] += 1
+            continue
+        keys = [(c.agent, c.items) for c in got.columns]
+        assert keys == sorted(keys)
+        assert dict(zip(keys, got.mass)) == want
+        outcomes["vertex"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 # -- a fractional LP at scale ----------------------------------------------------

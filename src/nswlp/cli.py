@@ -7,7 +7,6 @@ with positive welfare exists, 4 numerical failure in the LP driver.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import io
@@ -49,7 +48,7 @@ def _load_instance(path: str) -> Instance:
         raise InvalidInstance(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except OSError as exc:
+    except (InvalidInstance, OSError) as exc:
         raise InvalidInstance(f"{path}: {exc}") from exc
 
 
@@ -239,6 +238,7 @@ def _bench_one(task):
 
 
 def cmd_bench(args) -> int:
+    import concurrent.futures
     import glob
     import os
 

@@ -12,6 +12,10 @@ whole pool as the fallback, and the driver checks the value against the
 dual bound.  The central-cut ellipsoid over the dual, the source paper's
 polynomial-time method, is kept as a reference (``ellipsoid_run``).
 
+HiGHS is scipy's compiled binding ``scipy.optimize._highspy._core``, loaded
+on its own (``_scipy_ext.load``) so that a solve never imports
+``scipy.optimize``.
+
 All bundle data and the final LP vertex stay rational; logarithms, the
 LP duals and the ellipsoid work in doubles.
 """
@@ -25,8 +29,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus, _Highs
 
+from . import _scipy_ext
 from .core import (
     Infeasible,
     Instance,
@@ -37,6 +41,11 @@ from .core import (
 )
 from .lpsolve import LinearProgram, solve_lp
 from .reference import assignment_baseline
+
+_highs = _scipy_ext.load("_highspy._core")
+_Highs = _highs._Highs
+HighsBasisStatus = _highs.HighsBasisStatus
+HighsModelStatus = _highs.HighsModelStatus
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -504,9 +513,9 @@ class _HighsLP:
 
     Minimises the negated objective over rows items <= 1 and agents = 1.
     Columns are only ever added, so each ``solve`` starts from the last
-    optimal basis.  ``_Highs`` is scipy's bundled binding, which is private:
-    ``tests/test_configlp.py`` pins every method called here and the sign
-    of the duals.
+    optimal basis.  ``_Highs`` is scipy's bundled binding, which is private
+    and loaded by file path: ``tests/test_configlp.py`` pins every method
+    called here and the sign of the duals.
     """
 
     def __init__(self, n: int, m: int):

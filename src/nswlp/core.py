@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -279,3 +279,45 @@ def check_ef1(
             if red > tot:
                 return False
     return True
+
+
+def _augment(
+    adj: Sequence[Collection[int]],
+    col_of: list[int],
+    row_of: list[int],
+    root: int,
+    moved: list[int],
+) -> bool:
+    """Match the free row ``root`` by one augmenting path (Kuhn's DFS).
+
+    ``adj[r]`` holds row r's columns in ascending order (rounding passes
+    dicts keyed by column); ``col_of`` maps each row and ``row_of`` each
+    column to its partner, or -1.  Rows try their columns in that order,
+    and each column is visited at most once.  The search keeps an explicit
+    stack, so paths as long as the matrix need no recursion.  Each row whose
+    column the path changes is appended to ``moved``.  Returns False when no
+    path exists.
+    """
+    reached_from: dict[int, int] = {}  # column -> the row that tried it
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        r, cols = stack[-1]
+        for c in cols:
+            if c in reached_from:
+                continue
+            reached_from[c] = r
+            owner = row_of[c]
+            if owner >= 0:
+                stack.append((owner, iter(adj[owner])))
+                break
+            # c is free: flip the path back to the root.
+            while True:
+                r = reached_from[c]
+                row_of[c] = r
+                c, col_of[r] = col_of[r], c
+                moved.append(r)
+                if r == root:
+                    return True
+        else:
+            stack.pop()
+    return False

@@ -1,7 +1,9 @@
 """Exact reference solvers: brute force, positivity check, one-item baseline.
 
 These exist to certify the approximation pipeline at desk scale, not to
-scale themselves.
+scale themselves.  The positivity check is the package's own augmenting-path
+matching; the baseline's assignment solver is scipy's ``_lsap`` extension,
+loaded on its own so that ``scipy.optimize`` is never imported.
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ import math
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .core import Allocation, Infeasible, Instance, TooLarge, log_nsw
+from . import _scipy_ext
+from .core import Allocation, Infeasible, Instance, TooLarge, _augment, log_nsw
+
+linear_sum_assignment = _scipy_ext.load("_lsap").linear_sum_assignment
 
 BRUTE_FORCE_GUARD = 10_000_000
 
@@ -55,15 +57,20 @@ def brute_force_opt(instance: Instance) -> tuple[Allocation, float]:
 
 def positivity_check(instance: Instance) -> bool:
     """True iff the positive-weight agents can be matched to distinct items
-    they value positively (so some allocation has positive welfare)."""
-    support = csr_matrix(
-        np.array(
-            [[v > 0 for v in a.values] for a in instance.agents if a.weight > 0],
-            dtype=np.int8,
-        ).reshape(-1, instance.num_items)
-    )
-    match = maximum_bipartite_matching(support, perm_type="column")
-    return bool((match >= 0).all())
+    they value positively (so some allocation has positive welfare).
+
+    Kuhn's augmenting-path search (:func:`core._augment`) matches the agents
+    one by one on the ``v > 0`` support; an agent left without a path means
+    no such matching exists.
+    """
+    adj = [
+        [j for j, v in enumerate(a.values) if v > 0]
+        for a in instance.agents
+        if a.weight > 0
+    ]
+    col_of, row_of = [-1] * len(adj), [-1] * instance.num_items
+    moved: list[int] = []
+    return all(_augment(adj, col_of, row_of, r, moved) for r in range(len(adj)))
 
 
 def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:

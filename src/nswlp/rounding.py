@@ -26,6 +26,7 @@ from .core import (
     DecompositionFailure,
     EmptyAgent,
     Instance,
+    _augment,
 )
 from .configlp import ColumnSolution
 
@@ -200,45 +201,6 @@ def pad_square(
     return cells, denom, group_of, item_of
 
 
-def _augment(
-    adj: list[dict[int, int]],
-    col_of: list[int],
-    row_of: list[int],
-    root: int,
-    moved: list[int],
-) -> bool:
-    """Match the free row ``root`` by one augmenting path (Kuhn's DFS).
-
-    Rows try their columns in ascending order, and each column is visited
-    at most once.  The search keeps an explicit stack, so paths as long as
-    the matrix need no recursion.  Each row whose column the path changes is
-    appended to ``moved``.  Returns False when no path exists.
-    """
-    reached_from: dict[int, int] = {}  # column -> the row that tried it
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        r, cols = stack[-1]
-        for c in cols:
-            if c in reached_from:
-                continue
-            reached_from[c] = r
-            owner = row_of[c]
-            if owner >= 0:
-                stack.append((owner, iter(adj[owner])))
-                break
-            # c is free: flip the path back to the root.
-            while True:
-                r = reached_from[c]
-                row_of[c] = r
-                c, col_of[r] = col_of[r], c
-                moved.append(r)
-                if r == root:
-                    return True
-        else:
-            stack.pop()
-    return False
-
-
 def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
     """Split the group-item fractional matching into integral matchings.
 
@@ -247,7 +209,7 @@ def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
     kept across extractions: each extraction takes the minimum matched
     weight, subtracts it from the matched edges and deletes those that
     reach zero.  Only the rows those deletions left free are matched again,
-    in ascending order, by augmenting paths (:func:`_augment`); the first
+    in ascending order, by augmenting paths (:func:`core._augment`); the first
     matching is built the same way from an empty one.  The real part of the
     matching (groups to items, dummies stripped) is kept as one dict that is
     updated only at the rows the augmenting paths moved, and each extracted

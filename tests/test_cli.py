@@ -91,6 +91,13 @@ def test_solve_invalid_input_exit_code(tmp_path):
     assert main(["solve", str(invalid), "-o", str(tmp_path / "a.json")]) == 2
 
 
+def test_solve_invalid_instance_names_the_file(tmp_path, capsys):
+    invalid = tmp_path / "inv.json"
+    invalid.write_text(json.dumps({"num_items": 1, "agents": [{"weight": "1/2", "values": ["1"]}]}))
+    assert main(["solve", str(invalid), "-o", str(tmp_path / "a.json")]) == 2
+    assert f"error: {invalid}: weights sum to 1/2" in capsys.readouterr().err
+
+
 def test_solve_gift_leftovers(tmp_path):
     inst_path = tmp_path / "i.json"
     # second item is worthless to everyone; gifting still assigns it
@@ -220,6 +227,18 @@ def test_bench_malformed_json_names_the_file(tmp_path, capsys):
     assert main(["bench", str(d), "-o", str(tmp_path / "b.csv")]) == 2
     err = capsys.readouterr().err
     assert f"error: {d / 'bad.json'}: malformed JSON at line 1" in err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_bench_invalid_instance_names_the_file(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    write_instance(d / "a.json", ["1"], [[1, 2]])
+    (d / "inv.json").write_text(
+        json.dumps({"num_items": 1, "agents": [{"weight": "1/2", "values": ["1"]}]})
+    )
+    assert main(["bench", str(d), "-o", str(tmp_path / "b.csv")]) == 2
+    assert f"error: {d / 'inv.json'}: weights sum to 1/2" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
 
 

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from nswlp import (
     Infeasible,
@@ -67,6 +70,31 @@ def test_positivity_long_augmenting_chain():
     values.append([1] + [0] * n)
     inst = make_instance([Fraction(1, n + 1)] * (n + 1), values)
     assert positivity_check(inst) is True
+
+
+def test_positivity_matches_scipy_bipartite_matching():
+    # Random 0/1 supports, with zero-weight agents, all-zero rows and more
+    # agents than items, against scipy's maximum matching on the positive-
+    # weight rows.
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(300):
+        n, m = rng.randint(1, 7), rng.randint(1, 6)
+        density = rng.choice([0.2, 0.4, 0.7])
+        values = [[int(rng.random() < density) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.3:
+            values[rng.randrange(n)] = [0] * m
+        weights = [Fraction(rng.randint(0, 2)) for _ in range(n)]
+        if not any(weights):
+            weights[rng.randrange(n)] = Fraction(1)
+        total = sum(weights)
+        inst = make_instance([w / total for w in weights], values)
+        rows = [v for v, w in zip(values, weights) if w > 0]
+        support = csr_matrix(np.array(rows, dtype=np.int8).reshape(-1, m))
+        expected = bool((maximum_bipartite_matching(support, perm_type="column") >= 0).all())
+        assert positivity_check(inst) is expected, (weights, values)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_positivity_false_means_zero_welfare_everywhere():

@@ -288,28 +288,28 @@ def _augment(
     root: int,
     moved: list[int],
 ) -> bool:
-    """Match the free row ``root`` by one augmenting path (Kuhn's DFS).
+    """Match the free row ``root`` by one shortest augmenting path (BFS).
 
     ``adj[r]`` holds row r's columns in ascending order (rounding passes
     dicts keyed by column); ``col_of`` maps each row and ``row_of`` each
-    column to its partner, or -1.  Rows try their columns in that order,
-    and each column is visited at most once.  The search keeps an explicit
-    stack, so paths as long as the matrix need no recursion.  Each row whose
-    column the path changes is appended to ``moved``.  Returns False when no
-    path exists.
+    column to its partner, or -1.  The search is breadth-first: rows are
+    expanded in first-in first-out order, each trying its columns in
+    ascending order, and each column is visited at most once; the first
+    free column reached ends the search, so the path changes as few rows as
+    any augmenting path can.  Each row whose column the path changes is
+    appended to ``moved``.  Returns False when no path exists.
     """
     reached_from: dict[int, int] = {}  # column -> the row that tried it
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        r, cols = stack[-1]
-        for c in cols:
+    queue = [root]
+    for r in queue:  # the queue grows while it is walked
+        for c in adj[r]:
             if c in reached_from:
                 continue
             reached_from[c] = r
             owner = row_of[c]
             if owner >= 0:
-                stack.append((owner, iter(adj[owner])))
-                break
+                queue.append(owner)
+                continue
             # c is free: flip the path back to the root.
             while True:
                 r = reached_from[c]
@@ -318,6 +318,4 @@ def _augment(
                 moved.append(r)
                 if r == root:
                     return True
-        else:
-            stack.pop()
     return False

@@ -59,9 +59,9 @@ def positivity_check(instance: Instance) -> bool:
     """True iff the positive-weight agents can be matched to distinct items
     they value positively (so some allocation has positive welfare).
 
-    Kuhn's augmenting-path search (:func:`core._augment`) matches the agents
-    one by one on the ``v > 0`` support; an agent left without a path means
-    no such matching exists.
+    The shortest augmenting-path search (:func:`core._augment`) matches the
+    agents one by one on the ``v > 0`` support; an agent left without a path
+    means no such matching exists.
     """
     adj = [
         [j for j, v in enumerate(a.values) if v > 0]

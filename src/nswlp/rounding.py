@@ -3,15 +3,16 @@
 Per agent, the fractional items are sliced into unit-mass groups in
 non-increasing value order; the group-item fractional matching is then
 split exactly into a convex combination of partial matchings, and the best
-matching's allocation is returned.  Slicing, padding and extraction all run
-on exact integers: the slicing on each agent's marginals times their common
-denominator, the padding to a doubly stochastic square and its checks, and
-the Birkhoff-von-Neumann extraction on the group masses times their common
-denominator D.  The extraction keeps one perfect matching and repairs it:
-after each step only the rows whose matched edge ran out are matched again,
-by augmenting paths.  Groups of full mass are matched in every extracted
-matching, which is what makes the per-agent bundles envy-free up to one
-item across the combination.
+matching's allocation is returned.  Rounding runs on exact integers end to
+end: the marginals, the groups and the padded doubly stochastic square are
+all ints over one denominator D, the lcm of the column masses'
+denominators, so a unit of mass is the int D.  Only the final weights are
+``Fraction``s.  The Birkhoff-von-Neumann extraction keeps one perfect
+matching and repairs it: after each step only the rows whose matched edge
+ran out are matched again, by shortest (breadth-first) augmenting paths.
+Groups of full mass are matched in every extracted matching, which is what
+makes the per-agent bundles envy-free up to one item across the
+combination.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from .core import (
@@ -30,12 +33,11 @@ from .core import (
 )
 from .configlp import ColumnSolution
 
-_ZERO = Fraction(0)
-
-Group = dict[int, Fraction]
+GroupKey = tuple[int, int]  # (agent, group index)
+Group = dict[int, int]  # item -> mass times D
 GroupSet = dict[int, list[Group]]
-Marginals = list[list[Fraction]]  # x[i][j] = fraction of item j held by agent i
-Matching = dict[tuple[int, int], int]  # (agent, group index) -> item
+Marginals = list[list[int]]  # x[i][j] = fraction of item j held by agent i, times D
+Matching = dict[GroupKey, int]  # (agent, group index) -> item
 
 
 @dataclass(frozen=True)
@@ -49,21 +51,31 @@ class MatchingCombination:
     ``padded_edges`` counts the positive entries of the doubly stochastic
     matrix the decomposition ran on; the number of matchings never exceeds
     it, because each extraction deletes at least one edge.
+
+    ``changed[k]`` names the groups whose item in ``matchings[k]`` differs
+    from ``matchings[k - 1]`` (from the empty matching for k = 0): a group
+    that gains, swaps or loses its item.  Every other group holds the same
+    item in both, which lets :func:`best_allocation` rescore only the
+    agents those groups belong to.
     """
 
     matchings: tuple[Matching, ...]
     weights: tuple[Fraction, ...]
     padded_edges: int
+    changed: tuple[tuple[GroupKey, ...], ...]
 
 
-def marginals(y: ColumnSolution, n: int, m: int) -> list[list[Fraction]]:
-    """x[i][j] = total mass of columns of agent i containing item j."""
-    x = [[_ZERO] * m for _ in range(n)]
+def marginals(y: ColumnSolution, n: int, m: int) -> tuple[Marginals, int]:
+    """(x, D): x[i][j] is the total mass of agent i's columns containing
+    item j, times D, the lcm of the column masses' denominators."""
+    denom = math.lcm(*(mass.denominator for mass in y.mass))
+    x = [[0] * m for _ in range(n)]
     for col, mass in zip(y.columns, y.mass):
+        a = mass.numerator * (denom // mass.denominator)
         row = x[col.agent]
         for j in col.items:
-            row[j] += mass
-    return x
+            row[j] += a
+    return x, denom
 
 
 def _int_values(values) -> tuple[list[int], int]:
@@ -78,23 +90,21 @@ def item_order(instance: Instance, i: int) -> list[int]:
     return sorted(range(instance.num_items), key=vals.__getitem__, reverse=True)
 
 
-def build_groups(
-    instance: Instance, x: list[list[Fraction]], i: int
-) -> list[Group]:
+def build_groups(instance: Instance, x: Marginals, i: int, denom: int) -> list[Group]:
     """Slice agent i's fractional items into unit-mass groups.
 
-    Sweeps the items in value order, filling each group to mass exactly 1
-    and splitting an item's fraction across the boundary when needed; the
-    last group keeps the fractional remainder.  The slicing runs on the
-    row's masses as ints over their common denominator d, so a unit of mass
-    is d; only the returned masses are ``Fraction``s.
+    ``x`` holds the marginals as ints over ``denom``, so a unit of mass is
+    ``denom``, and so are the returned group masses.  Sweeps the items in
+    value order, filling each group to mass exactly 1 and splitting an
+    item's fraction across the boundary when needed; the last group keeps
+    the fractional remainder.
     """
-    row, d = _int_values(x[i])
+    row = x[i]
     if sum(row) == 0:
         raise EmptyAgent(f"agent {i} has no fractional mass")
-    groups: list[dict[int, int]] = []
-    current: dict[int, int] = {}
-    room = d
+    groups: list[Group] = []
+    current: Group = {}
+    room = denom
     for j in item_order(instance, i):
         rest = row[j]
         while rest > 0:
@@ -106,46 +116,40 @@ def build_groups(
             if room == 0:
                 groups.append(current)
                 current = {}
-                room = d
+                room = denom
     if current:
         groups.append(current)
-    return [{j: Fraction(a, d) for j, a in g.items()} for g in groups]
+    return groups
 
 
 Cell = tuple[int, int, int]  # (padded row, padded column, mass times D)
 
 
 def pad_square(
-    groups: GroupSet, x: list[list[Fraction]]
-) -> tuple[list[Cell], int, list[Optional[tuple[int, int]]], list[Optional[int]]]:
+    groups: GroupSet, num_items: int, denom: int
+) -> tuple[list[Cell], list[Optional[GroupKey]], list[Optional[int]]]:
     """Pad the group-item mass matrix to a doubly stochastic square.
 
-    Scales every group mass by D, the lcm of their denominators, so a unit
-    of mass is the int D.  Rows are the groups in (agent, group index)
+    Group masses are ints over ``denom``, so the square's rows and columns
+    each sum to ``denom``.  Rows are the groups in (agent, group index)
     order, then a dummy group per deficient item, then fully deficient
-    padding rows; columns are the items (``x`` gives their number), then a
-    dummy item per deficient group, then fully deficient padding columns.
-    A northwest-corner fill between the dummies balances the square.
-    Raises :class:`DecompositionFailure` when an item or a group carries
-    more than unit mass, or the deficits do not balance.
+    padding rows; columns are the ``num_items`` items, then a dummy item per
+    deficient group, then fully deficient padding columns.  A northwest-
+    corner fill between the dummies balances the square.  Raises
+    :class:`DecompositionFailure` when an item or a group carries more than
+    unit mass, or the deficits do not balance.
 
-    Returns the cells with their int masses sorted by (row, column), D, the
+    Returns the cells with their int masses sorted by (row, column), the
     (agent, group index) of each row and the item of each column, None for
     dummies.
     """
-    m = len(x[0]) if x else 0
-    denom = math.lcm(*{
-        f.denominator for gs in groups.values() for g in gs for f in g.values()
-    })
-    group_of: list[Optional[tuple[int, int]]] = []
+    m = num_items
+    group_of: list[Optional[GroupKey]] = []
     rows: list[list[tuple[int, int]]] = []  # per row, (column, mass) ascending
     for i in sorted(groups):
         for t, g in enumerate(groups[i]):
             group_of.append((i, t))
-            rows.append([
-                (j, f.numerator * (denom // f.denominator))
-                for j, f in sorted(g.items())
-            ])
+            rows.append(sorted(g.items()))
     col_sum = [0] * m
     for row in rows:
         for j, a in row:
@@ -198,66 +202,88 @@ def pad_square(
     group_of += [None] * (size - len(group_of))
     item_of: list[Optional[int]] = list(range(m)) + [None] * (size - m)
     cells = [(r, c, a) for r, row in enumerate(rows) for c, a in row]
-    return cells, denom, group_of, item_of
+    return cells, group_of, item_of
 
 
-def decompose(groups: GroupSet, x: list[list[Fraction]]) -> MatchingCombination:
+def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombination:
     """Split the group-item fractional matching into integral matchings.
 
-    The matrix is padded, checked and scaled to exact ints by
+    The groups' int masses over ``denom`` are padded and checked by
     :func:`pad_square`.  One perfect matching on the positive support is
     kept across extractions: each extraction takes the minimum matched
-    weight, subtracts it from the matched edges and deletes those that
-    reach zero.  Only the rows those deletions left free are matched again,
-    in ascending order, by augmenting paths (:func:`core._augment`); the first
-    matching is built the same way from an empty one.  The real part of the
-    matching (groups to items, dummies stripped) is kept as one dict that is
-    updated only at the rows the augmenting paths moved, and each extracted
-    matching is a copy of it.  Each weight is its minimum over D.
+    residual and deletes the matched edges it uses up.  Only the rows those
+    deletions left free are matched again, in ascending order, by shortest
+    augmenting paths (:func:`core._augment`); the first matching is built
+    the same way from an empty one.
+
+    Residuals are kept lazily.  A matched row stores ``end``, the extracted
+    total at which its edge runs out, and its entry in ``adj`` stays as it
+    was when the row was matched; only when a path moves the row to another
+    column does the old edge get its residual back.  So each step's weight
+    is ``min(end)`` minus the total so far, and its freed rows are those
+    whose ``end`` equals the new total.  The real part of the matching
+    (groups to items, dummies stripped) is one dict updated only at the
+    moved rows; each extracted matching is a copy of it, recorded with the
+    groups whose item changed.  Each weight is its step over ``denom``.
     """
-    cells, denom, group_of, item_of = pad_square(groups, x)
+    cells, group_of, item_of = pad_square(groups, num_items, denom)
     size = len(group_of)
     # Cells come sorted by (row, column), so each row's dict is in
-    # ascending column order, and deletions keep it so.
+    # ascending column order, and deletions and write-backs keep it so.
     adj: list[dict[int, int]] = [{} for _ in range(size)]
     for r, c, a in cells:
         adj[r][c] = a
     col_of, row_of = [-1] * size, [-1] * size
+    at = [-1] * size  # the column whose residual end[r] tracks, or -1
+    end = [0] * size
+    total = 0
     free = list(range(size))
     edges = len(cells)
     real: Matching = {}
     matchings: list[Matching] = []
+    changes: list[tuple[GroupKey, ...]] = []
     lams: list[int] = []
     while edges:
         moved: list[int] = []
         for r in free:
             if not _augment(adj, col_of, row_of, r, moved):
                 raise DecompositionFailure("no perfect matching in positive support")
-        for r in moved:
-            if (g := group_of[r]) is not None:
-                if (j := item_of[col_of[r]]) is None:
-                    real.pop(g, None)
+        changed: list[GroupKey] = []
+        for r in moved:  # a row moved twice is settled at its first entry
+            c = col_of[r]
+            if (old := at[r]) == c:
+                continue
+            if old >= 0:
+                adj[r][old] = end[r] - total
+            at[r] = c
+            end[r] = total + adj[r][c]
+            if (g := group_of[r]) is not None and real.get(g) != (j := item_of[c]):
+                if j is None:
+                    del real[g]
                 else:
                     real[g] = j
-        lam = min(map(dict.__getitem__, adj, col_of))
+                changed.append(g)
+        step_end = min(end)
+        lams.append(step_end - total)
+        total = step_end
         matchings.append(real.copy())
-        lams.append(lam)
+        changes.append(tuple(changed))
         free = []
-        for r, (row, c) in enumerate(zip(adj, col_of)):
-            left = row[c] - lam
-            if left:
-                row[c] = left
-            else:
-                del row[c]
-                col_of[r] = row_of[c] = -1
-                free.append(r)
+        r = -1
+        for _ in range(end.count(total)):
+            r = end.index(total, r + 1)
+            c = col_of[r]
+            del adj[r][c]
+            col_of[r] = row_of[c] = at[r] = -1
+            free.append(r)
         edges -= len(free)
-    if sum(lams) != denom:
+    if total != denom:
         raise DecompositionFailure("extracted weights do not sum to 1")
     return MatchingCombination(
         matchings=tuple(matchings),
         weights=tuple(Fraction(lam, denom) for lam in lams),
         padded_edges=len(cells),
+        changed=tuple(changes),
     )
 
 
@@ -283,45 +309,68 @@ def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombinat
                 f"has negative mass {mass}"
             )
     n, m = instance.num_agents, instance.num_items
-    x = marginals(y, n, m)
-    groups: GroupSet = {i: build_groups(instance, x, i) for i in range(n) if any(x[i])}
-    return decompose(groups, x)
+    x, denom = marginals(y, n, m)
+    groups: GroupSet = {
+        i: build_groups(instance, x, i, denom) for i in range(n) if any(x[i])
+    }
+    return decompose(groups, m, denom)
 
 
 def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation:
     """Allocation of the first matching with the highest log welfare.
 
-    Each matching is scored straight from its items, and only the winner is
-    turned into an :class:`Allocation`.  Each term equals the one
-    :func:`log_nsw` computes: bundle sums are exact ints over each agent's
-    common value denominator, and int true division rounds correctly, as
-    ``float`` of a ``Fraction`` does.  A matching that gives one item twice
-    raises ``ValueError``.
+    The matchings are scored in order, incrementally: ``comb.changed``
+    names the groups each matching changed, so only their agents' bundle
+    sums and log terms are updated, and only the winner is turned into an
+    :class:`Allocation`.  Each score equals the one :func:`log_nsw`
+    computes: bundle sums are exact ints over each agent's common value
+    denominator, int true division rounds correctly, as ``float`` of a
+    ``Fraction`` does, and the terms are added from 0.0 in agent order.  A
+    matching that gives one item twice raises ``ValueError``.
     """
     ints = []  # each agent's values as ints over their common denominator
-    terms = []  # (agent, weight, numerator, denominator), positive weights only
-    for i, (agent, scale) in enumerate(zip(instance.agents, instance.scales)):
+    params: list[Optional[tuple[float, int, int]]] = []  # (w, num, den) if w > 0
+    # A zero-weight agent's term stays 0.0, and adding 0.0 leaves a float
+    # sum unchanged, so every score still equals log_nsw's.
+    terms: list[float] = []
+    for agent, scale in zip(instance.agents, instance.scales):
         row, d = _int_values(agent.values)
         ints.append(row)
         if agent.weight != 0:
-            terms.append(
-                (i, float(agent.weight), scale.numerator, scale.denominator * d)
-            )
+            params.append((float(agent.weight), scale.numerator, scale.denominator * d))
+            terms.append(-math.inf)
+        else:
+            params.append(None)
+            terms.append(0.0)
+    sums = [0] * instance.num_agents
+    holders = [0] * instance.num_items  # groups holding each item
+    twice = 0  # items held by more than one group
+    prev: Matching = {}
     best, best_lw = None, -math.inf
-    for mat in comb.matchings:
-        if len(set(mat.values())) != len(mat):
+    for mat, changed in zip(comb.matchings, comb.changed):
+        agents = set()
+        for g in changed:
+            i = g[0]
+            if (j := prev.get(g)) is not None:
+                sums[i] -= ints[i][j]
+                twice -= holders[j] == 2
+                holders[j] -= 1
+            if (j := mat.get(g)) is not None:
+                sums[i] += ints[i][j]
+                holders[j] += 1
+                twice += holders[j] == 2
+            agents.add(i)
+        if twice:
             raise ValueError("an item is matched twice")
-        sums = [0] * instance.num_agents
-        for (i, _), j in mat.items():
-            sums[i] += ints[i][j]
-        lw = 0.0
-        for i, w, num, den in terms:
-            if sums[i] == 0:
-                lw = -math.inf
-                break
-            lw += w * math.log((num * sums[i]) / den)
+        for i in agents:
+            if (p := params[i]) is not None:
+                w, num, den = p
+                s = sums[i]
+                terms[i] = w * math.log((num * s) / den) if s else -math.inf
+        lw = reduce(add, terms, 0.0)
         if best is None or lw > best_lw:
             best, best_lw = mat, lw
+        prev = mat
     return allocation_from_matching(best, instance.num_items)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -222,8 +223,10 @@ def fraction_extraction(groups, x):
 
     The matching is repaired, not rebuilt: it starts empty, and after each
     extraction only the rows whose matched edge ran out are matched again,
-    in ascending row order, by recursive augmenting paths that try columns
-    in ascending order.  Returns (matchings, weights, padded_edges) like
+    in ascending row order, by shortest augmenting paths: a breadth-first
+    search that expands rows first in, first out, tries each row's columns
+    in ascending order and stops at the first free column.  Residuals are
+    subtracted eagerly.  Returns (matchings, weights, padded_edges) like
     ``MatchingCombination``.
     """
     cells, group_of, item_of = fraction_pad_square(groups, x)
@@ -233,20 +236,31 @@ def fraction_extraction(groups, x):
         rest[r][c] = frac
     col_of, row_of = {}, {}
 
-    def augment(r, seen):
-        for c in sorted(rest[r]):
-            if c not in seen:
-                seen.add(c)
-                if c not in row_of or augment(row_of[c], seen):
+    def augment(root):
+        parent = {}  # column -> the row whose search reached it
+        queue = collections.deque([root])
+        while queue:
+            r = queue.popleft()
+            for c in sorted(rest[r]):
+                if c in parent:
+                    continue
+                parent[c] = r
+                if c in row_of:
+                    queue.append(row_of[c])
+                    continue
+                while c is not None:
+                    r = parent[c]
+                    nxt = col_of.get(r)
                     col_of[r], row_of[c] = c, r
-                    return True
+                    c = nxt
+                return True
         return False
 
     matchings, weights = [], []
     free = list(range(size))
     while any(rest):
         for r in free:
-            assert augment(r, set())
+            assert augment(r)
         lam = min(rest[r][col_of[r]] for r in range(size))
         real = {}
         for r in range(size):
@@ -264,6 +278,22 @@ def fraction_extraction(groups, x):
                 free.append(r)
     assert sum(weights, Fraction(0)) == 1
     return tuple(matchings), tuple(weights), len(cells)
+
+
+def changed_groups(matchings):
+    """Per matching, the set of groups whose item differs from the previous
+    matching (from the empty one for the first), by comparing the dicts."""
+    out, prev = [], {}
+    for mat in matchings:
+        out.append({g for g in prev.keys() | mat.keys() if prev.get(g) != mat.get(g)})
+        prev = mat
+    return out
+
+
+def int_marginals(x):
+    """Fraction marginals as ints over the lcm D of their denominators."""
+    d = math.lcm(*(f.denominator for row in x for f in row))
+    return [[f.numerator * (d // f.denominator) for f in row] for row in x], d
 
 
 def solve_square_exact(rows, rhs):

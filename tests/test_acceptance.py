@@ -26,7 +26,7 @@ from nswlp.cli import main as cli_main
 from nswlp.cli import solve_pipeline
 from nswlp.gen import random_solvable_instance
 from nswlp.rounding import round_combination
-from conftest import random_feasible_marginals, positive_instance
+from conftest import int_marginals, random_feasible_marginals, positive_instance
 from test_configlp import oracle_inequality_high_precision, scaled_work
 
 EPSILON = 0.1
@@ -166,13 +166,18 @@ def test_criterion_5_groups_and_decomposition_exact():
         n, m = rng.randint(1, 3), rng.randint(1, 6)
         inst = positive_instance(rng, n, m)
         x = random_feasible_marginals(rng, n, m)
-        groups = {}
+        xi, d = int_marginals(x)
+        int_groups = {}
         for i in range(n):
             if sum(x[i], Fraction(0)) > 0:
-                groups[i] = build_groups(inst, x, i)
-        if not groups:
+                int_groups[i] = build_groups(inst, xi, i, d)
+        if not int_groups:
             continue
         checked += 1
+        groups = {
+            i: [{j: Fraction(a, d) for j, a in g.items()} for g in gs]
+            for i, gs in int_groups.items()
+        }
         # unit masses and exact marginal conservation
         for i, gs in groups.items():
             total = sum(x[i], Fraction(0))
@@ -188,7 +193,7 @@ def test_criterion_5_groups_and_decomposition_exact():
                 for j, f in g.items():
                     per_item[j] += f
             assert all(per_item[j] == x[i][j] for j in range(m))
-        comb = decompose(groups, x)
+        comb = decompose(int_groups, m, d)
         assert sum(comb.weights, Fraction(0)) == 1
         got = {}
         for mat, lam in zip(comb.matchings, comb.weights):

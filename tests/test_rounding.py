@@ -20,13 +20,15 @@ from nswlp import (
     brute_force_opt,
     solve_configuration_lp,
 )
-from nswlp import rounding
+from nswlp import gen, rounding
 from nswlp.configlp import Column, ColumnSolution
 from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
+    changed_groups,
     fraction_extraction,
     fraction_groups,
     fraction_pad_square,
+    int_marginals,
     positive_instance,
     random_column_solution,
     random_feasible_marginals,
@@ -54,13 +56,13 @@ def colsol(instance, entries):
 def test_marginals_single_full_column():
     inst = make_instance(["1"], [[1, 1]])
     y = colsol(inst, [(0, (0, 1), 1)])
-    assert marginals(y, 1, 2) == [[F(1), F(1)]]
+    assert marginals(y, 1, 2) == ([[1, 1]], 1)
 
 
 def test_marginals_sum_over_containing_sets():
     inst = make_instance(["1"], [[1, 1]])
     y = colsol(inst, [(0, (0,), "1/2"), (0, (0, 1), "1/2")])
-    assert marginals(y, 1, 2) == [[F(1), F(1, 2)]]
+    assert marginals(y, 1, 2) == ([[2, 1]], 2)
 
 
 def test_marginals_item_mass_bounded(rng):
@@ -69,35 +71,51 @@ def test_marginals_item_mass_bounded(rng):
         m = rng.randint(max(2, n), 5)
         inst = positive_instance(rng, n, m)
         y = random_column_solution(rng, inst)
-        x = marginals(y, n, m)
+        x, d = marginals(y, n, m)
+        assert d == math.lcm(*(mass.denominator for mass in y.mass))
         for j in range(m):
-            assert sum(x[i][j] for i in range(n)) <= 1
+            assert sum(x[i][j] for i in range(n)) <= d
         for i in range(n):
             total = sum(
                 y.mass[k] for k in range(len(y.columns)) if y.columns[k].agent == i
             )
             assert total == 1
+            assert sum(x[i]) == d * sum(
+                len(col.items) * mass for col, mass in zip(y.columns, y.mass)
+                if col.agent == i
+            )
 
 
 # -- group construction --------------------------------------------------------
 
 
-def groups_obey_invariants(instance, x, i, groups):
-    total = sum(x[i], F(0))
+def as_fractions(groups, d):
+    """Int groups over d as ``Fraction`` groups, in the same layout."""
+    return {i: [{j: F(a, d) for j, a in g.items()} for g in gs] for i, gs in groups.items()}
+
+
+def as_ints(groups):
+    """``Fraction`` groups as (int groups over their lcm D, D)."""
+    d = math.lcm(*(f.denominator for gs in groups.values() for g in gs for f in g.values()))
+    return {i: [{j: int(f * d) for j, f in g.items()} for g in gs] for i, gs in groups.items()}, d
+
+
+def groups_obey_invariants(instance, x, d, i, groups):
+    total = sum(x[i])
     p = len(groups)
-    assert p == math.ceil(total)
+    assert p == -(-total // d)
     for t, g in enumerate(groups):
-        mass = sum(g.values(), F(0))
+        mass = sum(g.values())
         if t < p - 1:
-            assert mass == 1
+            assert mass == d
         else:
-            assert mass == total - (p - 1)
-            assert 0 < mass <= 1
-    sums = {j: F(0) for j in range(instance.num_items)}
+            assert mass == total - (p - 1) * d
+            assert 0 < mass <= d
+    sums = {j: 0 for j in range(instance.num_items)}
     for g in groups:
-        for j, f in g.items():
-            assert f > 0
-            sums[j] += f
+        for j, a in g.items():
+            assert type(a) is int and a > 0
+            sums[j] += a
     for j in range(instance.num_items):
         assert sums[j] == x[i][j]
     # no inversion across groups in the value order
@@ -111,42 +129,38 @@ def groups_obey_invariants(instance, x, i, groups):
 
 def test_groups_worked_example():
     inst = make_instance(["1"], [[3, 2, 1]])
-    x = [[F(1, 2), F(7, 10), F(3, 10)]]
-    groups = build_groups(inst, x, 0)
-    assert groups == [
-        {0: F(1, 2), 1: F(1, 2)},
-        {1: F(1, 5), 2: F(3, 10)},
-    ]
-    groups_obey_invariants(inst, x, 0, groups)
+    # x = [[1/2, 7/10, 3/10]] over D = 10
+    x = [[5, 7, 3]]
+    groups = build_groups(inst, x, 0, 10)
+    assert groups == [{0: 5, 1: 5}, {1: 2, 2: 3}]
+    groups_obey_invariants(inst, x, 10, 0, groups)
 
 
 def test_groups_two_full_items():
     inst = make_instance(["1"], [[2, 1]])
-    x = [[F(1), F(1)]]
-    assert build_groups(inst, x, 0) == [{0: F(1)}, {1: F(1)}]
+    assert build_groups(inst, [[1, 1]], 0, 1) == [{0: 1}, {1: 1}]
 
 
 def test_groups_single_fractional_item():
     inst = make_instance(["1"], [[2]])
-    x = [[F(1, 3)]]
-    assert build_groups(inst, x, 0) == [{0: F(1, 3)}]
+    assert build_groups(inst, [[1]], 0, 3) == [{0: 1}]
 
 
 def test_groups_empty_agent_rejected():
     inst = make_instance(["1"], [[2]])
     with pytest.raises(EmptyAgent):
-        build_groups(inst, [[F(0)]], 0)
+        build_groups(inst, [[0]], 0, 1)
 
 
 def test_groups_random_marginals(rng):
     for _ in range(200):
         n, m = rng.randint(1, 3), rng.randint(1, 6)
         inst = positive_instance(rng, n, m)
-        x = random_feasible_marginals(rng, n, m)
+        x, d = int_marginals(random_feasible_marginals(rng, n, m))
         for i in range(n):
-            if sum(x[i], F(0)) == 0:
+            if sum(x[i]) == 0:
                 continue
-            groups_obey_invariants(inst, x, i, build_groups(inst, x, i))
+            groups_obey_invariants(inst, x, d, i, build_groups(inst, x, i, d))
 
 
 LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1, 10**9 + 9)
@@ -177,9 +191,11 @@ def test_groups_match_fraction_reference(rng):
                       large_prime_marginals(rng, n)))
     checked = 0
     for inst, x in cases:
+        xi, d = int_marginals(x)
         for i in range(inst.num_agents):
             if sum(x[i], F(0)) > 0:
-                assert build_groups(inst, x, i) == fraction_groups(inst, x, i)
+                got = as_fractions({i: build_groups(inst, xi, i, d)}, d)[i]
+                assert got == fraction_groups(inst, x, i)
                 checked += 1
     assert checked > 300
 
@@ -195,7 +211,7 @@ def test_item_order_matches_negated_key_on_ties(rng):
 # -- decomposition ---------------------------------------------------------------
 
 
-def combination_marginals_exact(groups, comb):
+def combination_marginals_exact(groups, d, comb):
     got = {}
     for mat, lam in zip(comb.matchings, comb.weights):
         for key, j in mat.items():
@@ -203,46 +219,46 @@ def combination_marginals_exact(groups, comb):
     want = {}
     for i, gs in groups.items():
         for t, g in enumerate(gs):
-            for j, f in g.items():
-                want[((i, t), j)] = f
+            for j, a in g.items():
+                want[((i, t), j)] = F(a, d)
     assert got == want
 
 
+def changes_recorded(comb):
+    """Each matching is the previous one with exactly the recorded groups
+    changed, each recorded once."""
+    assert len(comb.changed) == len(comb.matchings)
+    for changed, want in zip(comb.changed, changed_groups(comb.matchings)):
+        assert len(set(changed)) == len(changed)
+        assert set(changed) == want
+
+
 def test_decompose_two_overlapping_groups():
-    inst = make_instance(["1/2", "1/2"], [[1, 1, 1], [1, 1, 1]])
-    groups = {
-        0: [{0: F(1, 2), 1: F(1, 2)}],
-        1: [{1: F(1, 2), 2: F(1, 2)}],
-    }
-    x = [[F(1, 2), F(1, 2), F(0)], [F(0), F(1, 2), F(1, 2)]]
-    comb = decompose(groups, x)
+    groups = {0: [{0: 1, 1: 1}], 1: [{1: 1, 2: 1}]}  # masses over D = 2
+    comb = decompose(groups, 3, 2)
     assert sum(comb.weights, F(0)) == 1
-    combination_marginals_exact(groups, comb)
+    combination_marginals_exact(groups, 2, comb)
+    changes_recorded(comb)
 
 
 def test_decompose_long_chain_without_recursion_limit():
     # Augmenting paths here run the length of the chain, past the
     # interpreter's recursion limit.
     n = 1100
-    groups = {i: [{i: F(1, 2), i + 1: F(1, 2)}] for i in range(n)}
-    x = [[F(0)] * (n + 1) for _ in range(n)]
-    for i in range(n):
-        x[i][i] = x[i][i + 1] = F(1, 2)
-    comb = decompose(groups, x)
+    groups = {i: [{i: 1, i + 1: 1}] for i in range(n)}  # masses over D = 2
+    comb = decompose(groups, n + 1, 2)
     assert sum(comb.weights, F(0)) == 1
 
 
 def test_decompose_single_full_group():
-    inst = make_instance(["1"], [[1]])
-    groups = {0: [{0: F(1)}]}
-    comb = decompose(groups, [[F(1)]])
+    comb = decompose({0: [{0: 1}]}, 1, 1)
     assert comb.weights == (F(1),)
     assert comb.matchings == ({(0, 0): 0},)
+    assert comb.changed == (((0, 0),),)
 
 
 def test_decompose_single_fractional_group_has_empty_matching():
-    groups = {0: [{0: F(1, 3)}]}
-    comb = decompose(groups, [[F(1, 3)]])
+    comb = decompose({0: [{0: 1}]}, 1, 3)  # mass 1/3
     assert sum(comb.weights, F(0)) == 1
     weights_of = {(): F(0), ((0, 0), 0): F(0)}
     for mat, lam in zip(comb.matchings, comb.weights):
@@ -252,12 +268,13 @@ def test_decompose_single_fractional_group_has_empty_matching():
             weights_of[()] += lam
     assert weights_of[((0, 0), 0)] == F(1, 3)
     assert weights_of[()] == F(2, 3)
+    changes_recorded(comb)
 
 
-def full_groups_always_matched(groups, comb):
+def full_groups_always_matched(groups, d, comb):
     for i, gs in groups.items():
         for t, g in enumerate(gs):
-            if sum(g.values(), F(0)) == 1:
+            if sum(g.values()) == d:
                 for mat in comb.matchings:
                     assert (i, t) in mat
 
@@ -266,24 +283,21 @@ def test_decompose_random_marginals(rng):
     for _ in range(120):
         n, m = rng.randint(1, 3), rng.randint(1, 6)
         inst = positive_instance(rng, n, m)
-        x = random_feasible_marginals(rng, n, m)
-        groups = {}
-        for i in range(n):
-            if sum(x[i], F(0)) > 0:
-                groups[i] = build_groups(inst, x, i)
+        x, d = int_marginals(random_feasible_marginals(rng, n, m))
+        groups = marginal_groups(inst, x, d)
         if not groups:
             continue
-        comb = decompose(groups, x)
+        comb = decompose(groups, m, d)
         assert sum(comb.weights, F(0)) == 1
         assert all(lam > 0 for lam in comb.weights)
-        combination_marginals_exact(groups, comb)
-        full_groups_always_matched(groups, comb)
+        combination_marginals_exact(groups, d, comb)
+        full_groups_always_matched(groups, d, comb)
+        changes_recorded(comb)
         assert len(comb.matchings) <= comb.padded_edges + 1
 
 
-def marginal_groups(inst, x):
-    n = len(x)
-    return {i: build_groups(inst, x, i) for i in range(n) if sum(x[i], F(0)) > 0}
+def marginal_groups(inst, x, d):
+    return {i: build_groups(inst, x, i, d) for i in range(len(x)) if sum(x[i]) > 0}
 
 
 def test_decompose_matches_fraction_reference(rng):
@@ -292,12 +306,13 @@ def test_decompose_matches_fraction_reference(rng):
         n, m = rng.randint(1, 5), rng.randint(1, 12)
         inst = positive_instance(rng, n, m)
         x = random_feasible_marginals(rng, n, m, denom=rng.choice([6, 12, 35, 60]))
-        groups = marginal_groups(inst, x)
+        xi, d = int_marginals(x)
+        groups = marginal_groups(inst, xi, d)
         if not groups:
             continue
-        comb = decompose(groups, x)
+        comb = decompose(groups, m, d)
         assert (comb.matchings, comb.weights, comb.padded_edges) == (
-            fraction_extraction(groups, x)
+            fraction_extraction(as_fractions(groups, d), x)
         )
         checked += 1
     assert checked > 100
@@ -317,43 +332,45 @@ def test_decompose_raises_without_perfect_matching(monkeypatch, cells):
     monkeypatch.setattr(
         rounding,
         "pad_square",
-        lambda groups, x: (int_cells, denom, [(0, 0), (1, 0)], [0, 1]),
+        lambda groups, num_items, d: (int_cells, [(0, 0), (1, 0)], [0, 1]),
     )
     with pytest.raises(
         DecompositionFailure, match="no perfect matching in positive support"
     ):
-        decompose({}, [])
+        decompose({}, 2, denom)
 
 
 def test_decompose_exact_with_denominators_beyond_int64(rng):
     n = 3
     inst = positive_instance(rng, n, len(LARGE_PRIMES))
     x = large_prime_marginals(rng, n)
-    groups = marginal_groups(inst, x)
-    _, denom, _, _ = pad_square(groups, x)
-    assert denom > 2**64
-    comb = decompose(groups, x)
+    xi, d = int_marginals(x)
+    assert d > 2**64
+    groups = marginal_groups(inst, xi, d)
+    comb = decompose(groups, len(LARGE_PRIMES), d)
     assert sum(comb.weights, F(0)) == 1
     assert all(isinstance(lam, Fraction) and lam > 0 for lam in comb.weights)
     for mat in comb.matchings:
         assert len(set(mat.values())) == len(mat)
         for (i, t), j in mat.items():
             assert groups[i][t].get(j, 0) > 0
-    combination_marginals_exact(groups, comb)
-    full_groups_always_matched(groups, comb)
+    combination_marginals_exact(groups, d, comb)
+    full_groups_always_matched(groups, d, comb)
+    changes_recorded(comb)
     assert (comb.matchings, comb.weights, comb.padded_edges) == (
-        fraction_extraction(groups, x)
+        fraction_extraction(as_fractions(groups, d), x)
     )
 
 
-def pad_square_matches_fraction_reference(groups, x):
-    cells, denom, group_of, item_of = pad_square(groups, x)
-    ref_cells, ref_group_of, ref_item_of = fraction_pad_square(groups, x)
-    assert denom == math.lcm(*(frac.denominator for _, _, frac in ref_cells))
+def pad_square_matches_fraction_reference(inst, x):
+    xi, d = int_marginals(x)
+    groups = marginal_groups(inst, xi, d)
+    cells, group_of, item_of = pad_square(groups, inst.num_items, d)
+    ref_cells, ref_group_of, ref_item_of = fraction_pad_square(as_fractions(groups, d), x)
     assert all(type(a) is int for _, _, a in cells)
-    assert cells == [(r, c, frac * denom) for r, c, frac in ref_cells]
+    assert cells == [(r, c, frac * d) for r, c, frac in ref_cells]
     assert (group_of, item_of) == (ref_group_of, ref_item_of)
-    return denom
+    return d
 
 
 def test_pad_square_matches_fraction_reference(rng):
@@ -362,16 +379,14 @@ def test_pad_square_matches_fraction_reference(rng):
         n, m = rng.randint(1, 5), rng.randint(1, 12)
         inst = positive_instance(rng, n, m)
         x = random_feasible_marginals(rng, n, m, denom=rng.choice([6, 12, 35, 60]))
-        groups = marginal_groups(inst, x)
-        if groups:
-            pad_square_matches_fraction_reference(groups, x)
+        if any(any(row) for row in x):
+            pad_square_matches_fraction_reference(inst, x)
             checked += 1
     assert checked > 100
     for n in (1, 3, 5):
         inst = positive_instance(rng, n, len(LARGE_PRIMES))
         x = large_prime_marginals(rng, n)
-        groups = marginal_groups(inst, x)
-        assert pad_square_matches_fraction_reference(groups, x) > 2**64
+        assert pad_square_matches_fraction_reference(inst, x) > 2**64
 
 
 @pytest.mark.parametrize(
@@ -390,8 +405,9 @@ def test_pad_square_matches_fraction_reference(rng):
     ],
 )
 def test_pad_square_overfull_raises_like_fraction_reference(groups, x, message):
+    int_groups, d = as_ints(groups)
     with pytest.raises(DecompositionFailure) as got:
-        pad_square(groups, x)
+        pad_square(int_groups, len(x[0]), d)
     with pytest.raises(DecompositionFailure) as want:
         fraction_pad_square(groups, x)
     assert str(got.value) == str(want.value) == message
@@ -498,11 +514,34 @@ def random_matchings(rng, n, m, count):
     return out
 
 
+def hand_built(matchings):
+    """A combination of the given matchings with the change record that
+    ``decompose`` would give them; weights are not read by the selection."""
+    return MatchingCombination(
+        matchings=tuple(matchings),
+        weights=(),
+        padded_edges=0,
+        changed=tuple(tuple(sorted(c)) for c in changed_groups(matchings)),
+    )
+
+
 def by_log_nsw(inst, comb):
     return max(
         (allocation_from_matching(mat, inst.num_items) for mat in comb.matchings),
         key=lambda alloc: log_nsw(inst, alloc),
     )
+
+
+def selection_follows_change_record(inst, comb):
+    """The record names exactly the changed groups, and the incremental
+    scores pick the first matching with the highest ``log_nsw``."""
+    changes_recorded(comb)
+    lws = [
+        log_nsw(inst, allocation_from_matching(mat, inst.num_items))
+        for mat in comb.matchings
+    ]
+    first = comb.matchings[lws.index(max(lws))]
+    assert best_allocation(inst, comb) == allocation_from_matching(first, inst.num_items)
 
 
 def test_best_allocation_matches_log_nsw_argmax(rng):
@@ -519,12 +558,9 @@ def test_best_allocation_matches_log_nsw_argmax(rng):
         ]
         scales = [F(rng.randint(1, 10**6), rng.randint(1, 10**3)) for _ in range(n)]
         inst = make_instance(weights, values, scales)
-        comb = MatchingCombination(
-            matchings=tuple(random_matchings(rng, n, m, rng.randint(1, 12))),
-            weights=(),
-            padded_edges=0,
-        )
+        comb = hand_built(random_matchings(rng, n, m, rng.randint(1, 12)))
         assert best_allocation(inst, comb).owner == by_log_nsw(inst, comb).owner
+        selection_follows_change_record(inst, comb)
 
 
 def test_best_allocation_first_of_exact_ties():
@@ -539,17 +575,18 @@ def test_best_allocation_first_of_exact_ties():
         {(1, 0): 1, (2, 0): 0},
         {(1, 0): 0, (2, 0): 1},
     ]
-    comb = MatchingCombination(matchings=tuple(swapped), weights=(), padded_edges=0)
+    comb = hand_built(swapped)
     lws = [log_nsw(inst, allocation_from_matching(mat, 3)) for mat in swapped]
     assert lws[1] == lws[2] == lws[3] > lws[0]
     assert best_allocation(inst, comb).owner == (1, 2, 0)
     assert best_allocation(inst, comb).owner == by_log_nsw(inst, comb).owner
+    selection_follows_change_record(inst, comb)
 
 
 def test_best_allocation_rejects_item_matched_twice():
     inst = make_instance(["1/2", "1/2"], [[1, 2], [2, 1]])
     mats = ({(0, 0): 1, (1, 0): 0}, {(0, 0): 0, (1, 0): 0})
-    comb = MatchingCombination(matchings=mats, weights=(), padded_edges=0)
+    comb = hand_built(mats)
     with pytest.raises(ValueError, match="twice"):
         best_allocation(inst, comb)
 
@@ -557,7 +594,7 @@ def test_best_allocation_rejects_item_matched_twice():
 def test_best_allocation_all_worthless_returns_first():
     inst = make_instance(["1/2", "1/2"], [[1, 0], [0, 1]])
     mats = ({(0, 0): 1}, {(1, 0): 0}, {})
-    comb = MatchingCombination(matchings=mats, weights=(), padded_edges=0)
+    comb = hand_built(mats)
     assert best_allocation(inst, comb).owner == (None, 0)
 
 
@@ -594,12 +631,31 @@ def test_round_combination_at_round_frac_scale(n, m):
     rng = random.Random(1000 * n + m)
     inst = positive_instance(rng, n, m)
     y = random_column_solution(rng, inst, parts=10, denom=2520)
-    x = marginals(y, n, m)
-    groups = marginal_groups(inst, x)
-    comb = decompose(groups, x)
+    x, d = marginals(y, n, m)
+    groups = marginal_groups(inst, x, d)
+    comb = decompose(groups, m, d)
+    assert comb == round_combination(inst, y)
     assert len(comb.matchings) > 1
     assert sum(comb.weights, F(0)) == 1
-    combination_marginals_exact(groups, comb)
-    full_groups_always_matched(groups, comb)
+    combination_marginals_exact(groups, d, comb)
+    full_groups_always_matched(groups, d, comb)
     assert len(comb.matchings) <= comb.padded_edges
+    selection_follows_change_record(inst, comb)
     assert round_best(inst, y).owner == by_log_nsw(inst, comb).owner
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_round_best_on_fractional_zipf_vertices(seed):
+    # The LP vertices of these zipf (8,20) instances are fractional, so the
+    # rounding splits them into several matchings.
+    inst = gen.random_solvable_instance(8, 20, random.Random(seed), "zipf")
+    sol = solve_configuration_lp(inst, 0.025)
+    assert any(mass.denominator > 1 for mass in sol.mass)
+    comb = round_combination(inst, sol)
+    assert len(comb.matchings) > 1
+    assert log_nsw(inst, round_best(inst, sol)) >= (
+        sol.lp_value - math.log(1.1) - 1 / math.e
+    )
+    for i in range(inst.num_agents):
+        bundles = [[j for (ag, _), j in mat.items() if ag == i] for mat in comb.matchings]
+        assert check_ef1(inst.agents[i].values, bundles, require_disjoint=False), (i, bundles)

@@ -21,6 +21,7 @@ from . import jsonio
 from .configlp import ColumnSolution, solve_configuration_lp
 from .core import (
     Allocation,
+    Infeasible,
     Instance,
     InvalidInstance,
     NumericalCollapse,
@@ -30,7 +31,7 @@ from .core import (
     validate,
 )
 from .gen import random_instance
-from .reference import BRUTE_FORCE_GUARD, brute_force_opt, positivity_check
+from .reference import BRUTE_FORCE_GUARD, brute_force_opt
 from .rounding import allocation_from_matching, best_allocation, round_combination
 
 EXIT_OK = 0
@@ -136,17 +137,19 @@ def cmd_solve(args) -> int:
     except InvalidInstance as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not positivity_check(inst):
-        alloc = Allocation(owner=(None,) * inst.num_items)
-        _write_json(args.output, jsonio.allocation_to_obj(alloc))
-        _write_json(args.report, _report(inst, alloc, None, args.epsilon, 0, 0))
-        print("no allocation with positive welfare exists", file=sys.stderr)
-        return EXIT_NO_POSITIVE
     t0 = time.monotonic()
     try:
         alloc, colsol, nmatch = solve_pipeline(
             inst, args.epsilon, mode=args.mode, seed=args.seed, gift=args.gift_leftovers
         )
+    except Infeasible:
+        # The LP driver's assignment baseline found no positive-value
+        # matching of the positive-weight agents.
+        alloc = Allocation(owner=(None,) * inst.num_items)
+        _write_json(args.output, jsonio.allocation_to_obj(alloc))
+        _write_json(args.report, _report(inst, alloc, None, args.epsilon, 0, 0))
+        print("no allocation with positive welfare exists", file=sys.stderr)
+        return EXIT_NO_POSITIVE
     except NumericalCollapse as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLAPSE
@@ -216,14 +219,15 @@ def _bench_one(task):
     inst = _load_instance(path)
     row = {"instance": path, "opt": "", "lp": "", "alg": "", "ratio": "", "runtime_ms": ""}
     t0 = time.monotonic()
-    if not positivity_check(inst):
+    try:
+        alloc, colsol, _ = solve_pipeline(inst, epsilon)
+    except Infeasible:
         row["alg"] = "0.0"
         row["lp"] = "0.0"
         row["opt"] = "0.0"
         row["ratio"] = "1.0"
         row["runtime_ms"] = str(int((time.monotonic() - t0) * 1000))
         return row
-    alloc, colsol, _ = solve_pipeline(inst, epsilon)
     row["runtime_ms"] = str(int((time.monotonic() - t0) * 1000))
     alg = nsw(inst, alloc)
     row["alg"] = repr(alg)

@@ -283,6 +283,8 @@ def check_ef1(
 
 def _augment(
     adj: Sequence[Collection[int]],
+    radj: Sequence[Collection[int]],
+    near: list[int],
     col_of: list[int],
     row_of: list[int],
     root: int,
@@ -291,31 +293,48 @@ def _augment(
     """Match the free row ``root`` by one shortest augmenting path (BFS).
 
     ``adj[r]`` holds row r's columns in ascending order (rounding passes
-    dicts keyed by column); ``col_of`` maps each row and ``row_of`` each
-    column to its partner, or -1.  The search is breadth-first: rows are
-    expanded in first-in first-out order, each trying its columns in
-    ascending order, and each column is visited at most once; the first
-    free column reached ends the search, so the path changes as few rows as
-    any augmenting path can.  Each row whose column the path changes is
+    dicts keyed by column) and ``radj[c]`` the rows whose ``adj`` holds
+    column c; ``col_of`` maps each row and ``row_of`` each column to its
+    partner, or -1.  ``near[r]`` counts the free columns in ``adj[r]``.
+    The search is breadth-first: rows are expanded in first-in first-out
+    order, each trying its columns in ascending order, and each column is
+    visited at most once.  A full search would end at the first free
+    column reached, which the first row in queue order with ``near > 0``
+    finds; that row is also the first such row discovered, so the search
+    stops when it discovers it, and the path ends at that row's smallest
+    free column.  The path changes as few rows as any augmenting path can.
+    The column it ends on is no longer free, so ``near`` drops by one at
+    every row in its ``radj``.  Each row whose column the path changes is
     appended to ``moved``.  Returns False when no path exists.
     """
     reached_from: dict[int, int] = {}  # column -> the row that tried it
-    queue = [root]
-    for r in queue:  # the queue grows while it is walked
-        for c in adj[r]:
-            if c in reached_from:
-                continue
-            reached_from[c] = r
-            owner = row_of[c]
-            if owner >= 0:
-                queue.append(owner)
-                continue
-            # c is free: flip the path back to the root.
-            while True:
-                r = reached_from[c]
-                row_of[c] = r
-                c, col_of[r] = col_of[r], c
-                moved.append(r)
-                if r == root:
-                    return True
-    return False
+    r = root
+    if not near[r]:
+        queue = [r]
+        for q in queue:  # the queue grows while it is walked
+            for c in adj[q]:
+                if c in reached_from:
+                    continue
+                reached_from[c] = q
+                r = row_of[c]  # matched: an expanded row has no free column
+                if near[r]:
+                    break  # r is the goal
+                queue.append(r)
+            else:
+                continue  # q is expanded without discovering the goal
+            break
+        else:
+            return False  # no row the root reaches has a free column
+    for c in adj[r]:  # the path ends at r's smallest free column
+        if row_of[c] < 0:
+            break
+    for q in radj[c]:
+        near[q] -= 1
+    # Flip the path back to the root.
+    while True:
+        row_of[c] = r
+        c, col_of[r] = col_of[r], c
+        moved.append(r)
+        if r == root:
+            return True
+        r = reached_from[c]

@@ -61,16 +61,27 @@ def positivity_check(instance: Instance) -> bool:
 
     The shortest augmenting-path search (:func:`core._augment`) matches the
     agents one by one on the ``v > 0`` support; an agent left without a path
-    means no such matching exists.
+    means no such matching exists.  Items start free, so each agent's
+    ``near`` (free items it values) starts at its count of positive values,
+    and ``radj[j]`` lists the agents valuing item j, for the search to
+    decrement ``near`` when it takes j; the search stops at the first agent
+    it discovers with ``near > 0``.
     """
     adj = [
         [j for j, v in enumerate(a.values) if v > 0]
         for a in instance.agents
         if a.weight > 0
     ]
+    radj: list[list[int]] = [[] for _ in range(instance.num_items)]
+    for r, cols in enumerate(adj):
+        for c in cols:
+            radj[c].append(r)
+    near = [len(cols) for cols in adj]  # every item starts free
     col_of, row_of = [-1] * len(adj), [-1] * instance.num_items
     moved: list[int] = []
-    return all(_augment(adj, col_of, row_of, r, moved) for r in range(len(adj)))
+    return all(
+        _augment(adj, radj, near, col_of, row_of, r, moved) for r in range(len(adj))
+    )
 
 
 def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:

@@ -9,7 +9,8 @@ all ints over one denominator D, the lcm of the column masses'
 denominators, so a unit of mass is the int D.  Only the final weights are
 ``Fraction``s.  The Birkhoff-von-Neumann extraction keeps one perfect
 matching and repairs it: after each step only the rows whose matched edge
-ran out are matched again, by shortest (breadth-first) augmenting paths.
+ran out are matched again, by shortest (breadth-first) augmenting paths,
+each stopping at the first row it discovers next to a free column.
 Groups of full mass are matched in every extracted matching, which is what
 makes the per-agent bundles envy-free up to one item across the
 combination.
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from operator import add
 from typing import Optional
 
@@ -214,28 +216,41 @@ def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombinati
     residual and deletes the matched edges it uses up.  Only the rows those
     deletions left free are matched again, in ascending order, by shortest
     augmenting paths (:func:`core._augment`); the first matching is built
-    the same way from an empty one.
+    the same way from an empty one.  The search stops at the first row it
+    discovers next to a free column, so ``decompose`` keeps, beside ``adj``,
+    its transpose ``radj`` (per column, the rows whose ``adj`` holds it)
+    and ``near`` (per row, the free columns in its ``adj``).  When an edge
+    runs out, its row leaves the column's ``radj`` and ``near`` rises at the
+    rows left there; ``_augment`` lowers ``near`` around the one free column
+    each path ends on.
 
     Residuals are kept lazily.  A matched row stores ``end``, the extracted
     total at which its edge runs out, and its entry in ``adj`` stays as it
     was when the row was matched; only when a path moves the row to another
-    column does the old edge get its residual back.  So each step's weight
-    is ``min(end)`` minus the total so far, and its freed rows are those
-    whose ``end`` equals the new total.  The real part of the matching
-    (groups to items, dummies stripped) is one dict updated only at the
-    moved rows; each extracted matching is a copy of it, recorded with the
-    groups whose item changed.  Each weight is its step over ``denom``.
+    column does the old edge get its residual back.  A heap holds
+    ``(end, row)`` for every end set, and entries whose row has moved on or
+    was freed are dropped when they surface.  So each step's weight is the
+    smallest current end minus the total so far, and its freed rows, popped
+    in ascending order, are those whose ``end`` equals the new total.  The
+    real part of the matching (groups to items, dummies stripped) is one
+    dict updated only at the moved rows; each extracted matching is a copy
+    of it, recorded with the groups whose item changed.  Each weight is its
+    step over ``denom``.
     """
     cells, group_of, item_of = pad_square(groups, num_items, denom)
     size = len(group_of)
     # Cells come sorted by (row, column), so each row's dict is in
     # ascending column order, and deletions and write-backs keep it so.
     adj: list[dict[int, int]] = [{} for _ in range(size)]
+    radj: list[list[int]] = [[] for _ in range(size)]
     for r, c, a in cells:
         adj[r][c] = a
+        radj[c].append(r)
+    near = [len(a) for a in adj]  # every column starts free
     col_of, row_of = [-1] * size, [-1] * size
     at = [-1] * size  # the column whose residual end[r] tracks, or -1
     end = [0] * size
+    ends: list[tuple[int, int]] = []  # heap of (end[r], r), stale ones kept
     total = 0
     free = list(range(size))
     edges = len(cells)
@@ -246,7 +261,7 @@ def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombinati
     while edges:
         moved: list[int] = []
         for r in free:
-            if not _augment(adj, col_of, row_of, r, moved):
+            if not _augment(adj, radj, near, col_of, row_of, r, moved):
                 raise DecompositionFailure("no perfect matching in positive support")
         changed: list[GroupKey] = []
         for r in moved:  # a row moved twice is settled at its first entry
@@ -256,24 +271,35 @@ def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombinati
             if old >= 0:
                 adj[r][old] = end[r] - total
             at[r] = c
-            end[r] = total + adj[r][c]
+            end[r] = e = total + adj[r][c]
+            heappush(ends, (e, r))
             if (g := group_of[r]) is not None and real.get(g) != (j := item_of[c]):
                 if j is None:
                     del real[g]
                 else:
                     real[g] = j
                 changed.append(g)
-        step_end = min(end)
+        # Every row is matched here, so once the entries whose end has moved
+        # on are dropped, the top holds the smallest end.
+        while end[ends[0][1]] != ends[0][0]:
+            heappop(ends)
+        step_end = ends[0][0]
         lams.append(step_end - total)
         total = step_end
         matchings.append(real.copy())
         changes.append(tuple(changed))
+        # Equal ends pop in ascending row order; a row already freed here
+        # (at < 0) or moved on since its entry is skipped.
         free = []
-        r = -1
-        for _ in range(end.count(total)):
-            r = end.index(total, r + 1)
+        while ends and ends[0][0] == total:
+            r = heappop(ends)[1]
+            if at[r] < 0 or end[r] != total:
+                continue
             c = col_of[r]
             del adj[r][c]
+            radj[c].remove(r)
+            for q in radj[c]:
+                near[q] += 1
             col_of[r] = row_of[c] = at[r] = -1
             free.append(r)
         edges -= len(free)

@@ -9,8 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from nswlp import Instance, make_instance
+
+# Every run draws the same examples, so a failure in CI reproduces locally.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +283,52 @@ def fraction_extraction(groups, x):
                 free.append(r)
     assert sum(weights, Fraction(0)) == 1
     return tuple(matchings), tuple(weights), len(cells)
+
+
+def full_bfs_augment(adj, col_of, row_of, root, moved):
+    """Shortest augmenting path by a plain breadth-first search: the
+    reference for ``core._augment``.
+
+    Rows are expanded first in, first out, each trying its columns in
+    ascending order and visiting each column once, and every row is
+    expanded until a free column is reached, which ends the path.  Each row
+    the path changes is appended to ``moved``, from the path's end back to
+    the root.  Returns False, changing nothing, when no path exists.
+    """
+    parent = {}  # column -> the row whose search reached it
+    queue = collections.deque([root])
+    while queue:
+        r = queue.popleft()
+        for c in sorted(adj[r]):
+            if c in parent:
+                continue
+            parent[c] = r
+            if row_of[c] >= 0:
+                queue.append(row_of[c])
+                continue
+            while True:
+                r = parent[c]
+                nxt = col_of[r]
+                col_of[r], row_of[c] = c, r
+                moved.append(r)
+                if r == root:
+                    return True
+                c = nxt
+    return False
+
+
+def transpose(adj, num_cols):
+    """Per column, the rows whose adjacency holds it, in ascending order."""
+    out = [[] for _ in range(num_cols)]
+    for r, cols in enumerate(adj):
+        for c in cols:
+            out[c].append(r)
+    return out
+
+
+def free_counts(adj, row_of):
+    """Per row, how many columns in its adjacency are unmatched."""
+    return [sum(row_of[c] < 0 for c in cols) for cols in adj]
 
 
 def changed_groups(matchings):

@@ -80,6 +80,47 @@ def test_solve_positivity_failure_exit_code(tmp_path):
     assert all(o is None for o in alloc.owner)
 
 
+NO_POSITIVE_REPORT = (
+    '{\n  "nsw": 0.0,\n  "log_nsw": null,\n  "lp_value": null,\n'
+    '  "epsilon": 0.1,\n  "matchings": 0,\n  "runtime_ms": 0\n}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "weights, values",
+    [
+        # three positive-weight agents, two items
+        (["1/3", "1/3", "1/3"], [[1, 2], [3, 1], [2, 2]]),
+        # a positive-weight agent values nothing
+        (["1/2", "1/2"], [[1, 2, 3], [0, 0, 0]]),
+    ],
+    ids=["more-agents-than-items", "all-zero-row"],
+)
+def test_solve_no_positive_welfare_output(tmp_path, capsys, weights, values):
+    inst_path = tmp_path / "i.json"
+    write_instance(inst_path, weights, values)
+    alloc_path, rep_path = tmp_path / "a.json", tmp_path / "r.json"
+    code = main(
+        ["solve", str(inst_path), "-o", str(alloc_path), "--report", str(rep_path)]
+    )
+    assert code == 3
+    nulls = ",\n".join(["    null"] * len(values[0]))
+    assert alloc_path.read_text() == '{\n  "owner": [\n' + nulls + "\n  ]\n}\n"
+    assert rep_path.read_text() == NO_POSITIVE_REPORT
+    assert capsys.readouterr().err == "no allocation with positive welfare exists\n"
+
+
+def test_bench_no_positive_welfare_row(tmp_path):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    write_instance(d / "more.json", ["1/3", "1/3", "1/3"], [[1, 2], [3, 1], [2, 2]])
+    write_instance(d / "zero.json", ["1/2", "1/2"], [[1, 2, 3], [0, 0, 0]])
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(d), "-o", str(out)]) == 0
+    rows = [line.rsplit(",", 1)[0] for line in out.read_text().strip().splitlines()]
+    assert rows[1:] == [f"{d / name},0.0,0.0,0.0,1.0" for name in ("more.json", "zero.json")]
+
+
 def test_solve_invalid_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nswlp import (
     Allocation,
@@ -19,7 +20,8 @@ from nswlp import (
     validate,
 )
 from nswlp import jsonio
-from conftest import ef1_by_quantifiers
+from nswlp.core import _augment
+from conftest import ef1_by_quantifiers, free_counts, full_bfs_augment, transpose
 
 
 def test_every_exported_name_resolves():
@@ -228,3 +230,45 @@ def test_malformed_instance_rejected():
         jsonio.instance_from_obj({"agents": []})
     with pytest.raises(InvalidInstance):
         jsonio.instance_from_obj({"num_items": 1, "agents": [{"weight": "x/y", "values": ["1"]}]})
+
+
+@st.composite
+def augment_cases(draw):
+    """A bipartite graph with ascending adjacency, a partial matching on its
+    edges and a free root row: (adj, col_of, row_of, root, as_dicts)."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    adj = [sorted(draw(st.sets(st.integers(0, cols - 1)))) for _ in range(rows)]
+    root = draw(st.integers(0, rows - 1))
+    col_of, row_of = [-1] * rows, [-1] * cols
+    for r in range(rows):
+        if r == root:
+            continue
+        c = draw(st.sampled_from([-1] + [c for c in adj[r] if row_of[c] < 0]))
+        if c >= 0:
+            col_of[r], row_of[c] = c, r
+    return adj, col_of, row_of, root, draw(st.booleans())
+
+
+@given(augment_cases())
+# Every column free: the root takes its smallest column.
+@example(([[1, 2], [0, 2]], [-1, -1], [-1, -1, -1], 0, False))
+# No path: the root's only column is held by a row with no other.
+@example(([[0], [0]], [-1, 0], [1], 0, False))
+# No path: the root has no columns at all.
+@example(([[], [0]], [-1, 0], [1], 0, True))
+# A path of three rows, found from dict adjacency.
+@example(([[0, 1], [1, 2], [2, 3]], [-1, 1, 2], [-1, 1, 2, -1], 0, True))
+def test_augment_matches_full_search(case):
+    adj, col_of, row_of, root, as_dicts = case
+    radj = transpose(adj, len(row_of))
+    near = free_counts(adj, row_of)
+    expected_col, expected_row, expected_moved = list(col_of), list(row_of), []
+    expected = full_bfs_augment(adj, expected_col, expected_row, root, expected_moved)
+    graph = [dict.fromkeys(cols, 1) for cols in adj] if as_dicts else adj
+    moved = []
+    found = _augment(graph, radj, near, col_of, row_of, root, moved)
+    assert (found, moved, col_of, row_of) == (
+        expected, expected_moved, expected_col, expected_row
+    )
+    assert near == free_counts(adj, row_of)
+    assert radj == transpose(adj, len(row_of))

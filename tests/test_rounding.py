@@ -20,18 +20,20 @@ from nswlp import (
     brute_force_opt,
     solve_configuration_lp,
 )
-from nswlp import gen, rounding
+from nswlp import core, gen, rounding
 from nswlp.configlp import Column, ColumnSolution
 from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
     changed_groups,
     fraction_extraction,
+    free_counts,
     fraction_groups,
     fraction_pad_square,
     int_marginals,
     positive_instance,
     random_column_solution,
     random_feasible_marginals,
+    transpose,
 )
 
 F = Fraction
@@ -298,6 +300,27 @@ def test_decompose_random_marginals(rng):
 
 def marginal_groups(inst, x, d):
     return {i: build_groups(inst, x, i, d) for i in range(len(x)) if sum(x[i]) > 0}
+
+
+def test_decompose_keeps_free_counts_and_transpose(rng, monkeypatch):
+    calls = 0
+
+    def checked(adj, radj, near, col_of, row_of, root, moved):
+        nonlocal calls
+        calls += 1
+        assert near == free_counts(adj, row_of)
+        assert radj == transpose(adj, len(row_of))
+        return core._augment(adj, radj, near, col_of, row_of, root, moved)
+
+    monkeypatch.setattr(rounding, "_augment", checked)
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 8)
+        inst = positive_instance(rng, n, m)
+        x, d = int_marginals(random_feasible_marginals(rng, n, m, denom=rng.choice([6, 12, 35])))
+        groups = marginal_groups(inst, x, d)
+        if groups:
+            combination_marginals_exact(groups, d, decompose(groups, m, d))
+    assert calls > 500
 
 
 def test_decompose_matches_fraction_reference(rng):

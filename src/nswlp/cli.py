@@ -53,6 +53,14 @@ def _load_instance(path: str) -> Instance:
         raise InvalidInstance(f"{path}: {exc}") from exc
 
 
+def _bad_epsilon(epsilon: float) -> bool:
+    """Report an ``--epsilon`` outside (0, 1], nan included."""
+    if 0.0 < epsilon <= 1.0:
+        return False
+    print(f"error: --epsilon must be in (0, 1], got {epsilon!r}", file=sys.stderr)
+    return True
+
+
 def _write_json(path: Optional[str], obj: dict) -> None:
     text = jsonio.dumps(obj)
     if path is None or path == "-":
@@ -132,6 +140,8 @@ def _report(
 
 
 def cmd_solve(args) -> int:
+    if _bad_epsilon(args.epsilon):
+        return EXIT_INPUT
     try:
         inst = _load_instance(args.instance)
     except InvalidInstance as exc:
@@ -246,6 +256,8 @@ def cmd_bench(args) -> int:
     import glob
     import os
 
+    if _bad_epsilon(args.epsilon):
+        return EXIT_INPUT
     paths = sorted(glob.glob(os.path.join(args.directory, "*.json")))
     if not paths:
         print(f"error: no instance files in {args.directory}", file=sys.stderr)

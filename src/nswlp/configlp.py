@@ -36,6 +36,7 @@ from .core import (
     Instance,
     NumericalCollapse,
     TooLarge,
+    int_row,
     scale_values,
     validate,
 )
@@ -149,8 +150,7 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
     num = 2 * m * eps_frac.denominator
     plans = []
     for i, agent in enumerate(instance.agents):
-        denom = math.lcm(*(v.denominator for v in agent.values))
-        ints = [v.numerator * (denom // v.denominator) for v in agent.values]
+        ints, denom = int_row(agent.values)
         if any(0 < x < denom for x in ints):
             raise ValueError("instance must be scaled: values 0 or >= 1")
         pos = sorted((j for j in range(m) if ints[j] > 0), key=lambda j: (-ints[j], j))
@@ -466,8 +466,8 @@ def _column_solution(
     cols: Sequence[tuple[int, tuple[int, ...]]],
     masses: Sequence[Fraction],
 ) -> ColumnSolution:
-    """The columns of positive mass, with lp_value restated in the original
-    value space of ``instance``."""
+    """The columns of positive mass, and their LP value in the value space
+    of ``instance``."""
     columns = []
     mass = []
     lp_value = 0.0
@@ -477,11 +477,7 @@ def _column_solution(
         v = instance.bundle_value(i, items)
         columns.append(Column(agent=i, items=items, value=v))
         mass.append(y)
-        lp_value += (
-            float(y)
-            * float(instance.agents[i].weight)
-            * math.log(float(instance.scales[i] * v))
-        )
+        lp_value += float(y) * float(instance.agents[i].weight) * math.log(float(v))
     return ColumnSolution(columns=tuple(columns), mass=tuple(mass), lp_value=lp_value)
 
 
@@ -685,10 +681,12 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
 def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution:
     """Solve the configuration LP within an additive gap of ln(1+epsilon).
 
-    Column generation (Gilmore & Gomory) on the restricted primal: values
-    are scaled so each agent's minimum positive value is 1, and the pool
-    starts from the one-item assignment baseline's singletons plus every
-    agent's best singleton.  Each round re-solves the pool's LP in one
+    Column generation (Gilmore & Gomory) on the restricted primal.  The
+    driver works on values divided so that each agent's minimum positive
+    value is 1 (:func:`scale_values`), which shifts the LP value by a
+    constant and keeps its vertices; the result is stated in the value
+    space of ``instance``.  The pool starts from the one-item assignment
+    baseline's singletons plus every agent's best singleton.  Each round re-solves the pool's LP in one
     warm-started HiGHS model for the duals (alpha per item, beta per agent)
     and prices at (alpha, beta + _PRICE_TOL): the ratio screen adds at most
     one violated bundle per agent, and only when it finds none does the
@@ -762,7 +760,7 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
             raise NumericalCollapse(
                 f"exact pool value {work_sol.lp_value!r} misses the dual bound {bound!r}"
             )
-    # Map agents back and restate the value in original space.
+    # Map agents back and restate the value in the value space of instance.
     return _column_solution(
         instance,
         [(active[col.agent], col.items) for col in work_sol.columns],

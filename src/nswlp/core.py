@@ -86,29 +86,22 @@ class Agent:
 
 @dataclass(frozen=True)
 class Instance:
-    """A weighted Nash social welfare instance.
+    """A weighted Nash social welfare instance: agent weights and values.
 
-    ``scales`` holds per-agent value-space divisors introduced by
-    :func:`scale_values`; stored values times the scale factor recover the
-    original value space.  Defaults to all ones.
+    Welfare and LP values are in the value space the values are given in.
+    Multiplying agent i's values by c > 0 adds w_i ln c to every log welfare
+    and to the LP value, so a solver may normalise privately.
     """
 
     num_items: int
     agents: tuple[Agent, ...]
-    scales: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        if not self.scales:
-            object.__setattr__(
-                self, "scales", tuple(Fraction(1) for _ in self.agents)
-            )
 
     @property
     def num_agents(self) -> int:
         return len(self.agents)
 
     def bundle_value(self, i: int, items: Iterable[int]) -> Fraction:
-        """Additive value of a bundle for agent i, in stored value space."""
+        """Additive value of a bundle for agent i."""
         vals = self.agents[i].values
         return sum((vals[j] for j in items), Fraction(0))
 
@@ -130,7 +123,6 @@ class Allocation:
 def make_instance(
     weights: Sequence[RationalLike],
     values: Sequence[Sequence[RationalLike]],
-    scales: Optional[Sequence[RationalLike]] = None,
 ) -> Instance:
     """Convenience constructor coercing all entries to Fractions."""
     if len(values) != len(weights):
@@ -142,8 +134,7 @@ def make_instance(
         Agent(as_fraction(w), tuple(as_fraction(v) for v in row))
         for w, row in zip(weights, values)
     )
-    sc = tuple(as_fraction(s) for s in scales) if scales is not None else ()
-    return Instance(num_items=m, agents=agents, scales=sc)
+    return Instance(num_items=m, agents=agents)
 
 
 def validate(instance: Instance) -> None:
@@ -167,11 +158,6 @@ def validate(instance: Instance) -> None:
         total += agent.weight
     if total != 1:
         raise WeightSumError(f"weights sum to {total}, expected 1")
-    if len(instance.scales) != instance.num_agents:
-        raise InvalidInstance("one scale factor per agent required")
-    for idx, s in enumerate(instance.scales):
-        if s <= 0:
-            raise InvalidInstance(f"scale factor of agent {idx} is not positive")
 
 
 def _check_owner(instance: Instance, alloc: Allocation) -> None:
@@ -183,7 +169,7 @@ def _check_owner(instance: Instance, alloc: Allocation) -> None:
 
 
 def log_nsw(instance: Instance, alloc: Allocation) -> float:
-    """Weighted log welfare sum(w_i * ln v_i(bundle_i)) in original value space.
+    """Weighted log welfare sum(w_i * ln v_i(bundle_i)).
 
     Agents with zero weight contribute nothing regardless of bundle; a
     positive-weight agent with a worthless bundle makes the result -inf.
@@ -197,10 +183,9 @@ def log_nsw(instance: Instance, alloc: Allocation) -> float:
     for i, agent in enumerate(instance.agents):
         if agent.weight == 0:
             continue
-        val = instance.scales[i] * sums[i]
-        if val == 0:
+        if sums[i] == 0:
             return -math.inf
-        total += float(agent.weight) * math.log(float(val))
+        total += float(agent.weight) * math.log(float(sums[i]))
     return total
 
 
@@ -216,29 +201,27 @@ def nsw(instance: Instance, alloc: Allocation) -> float:
 
 
 def scale_values(instance: Instance) -> Instance:
-    """Divide each agent's values by its minimum positive value.
+    """Divide each agent's values by its minimum positive value, so every
+    value is 0 or >= 1 (an all-zero row stays as it is).
 
-    The divisor is recorded in ``scales`` so welfare reports stay in the
-    original value space.  Afterwards every value is 0 or >= 1.
+    Dividing agent i's values by s_i lowers every log welfare by the sum of
+    w_i ln s_i; the LP driver uses it as a private normalisation.
     """
     new_agents = []
-    new_scales = []
-    for agent, old_scale in zip(instance.agents, instance.scales):
+    for agent in instance.agents:
         positive = [v for v in agent.values if v > 0]
-        if not positive:
-            new_agents.append(agent)
-            new_scales.append(old_scale)
-            continue
-        s = min(positive)
-        new_agents.append(
-            Agent(agent.weight, tuple(v / s for v in agent.values))
-        )
-        new_scales.append(old_scale * s)
-    return Instance(
-        num_items=instance.num_items,
-        agents=tuple(new_agents),
-        scales=tuple(new_scales),
-    )
+        if positive:
+            s = min(positive)
+            agent = Agent(agent.weight, tuple(v / s for v in agent.values))
+        new_agents.append(agent)
+    return Instance(num_items=instance.num_items, agents=tuple(new_agents))
+
+
+def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d): a row of ``Fraction``s as ints over d, the lcm of their
+    denominators, so value k is exactly ints[k] / d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def check_ef1(

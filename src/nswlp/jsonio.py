@@ -6,8 +6,9 @@ Instance files look like::
      "agents": [{"weight": "1/2", "values": ["3", "0.5", "0"]}, ...]}
 
 Weights and values accept either 'p/q' or decimal notation; serialization
-emits the canonical 'p/q' form.  Allocation files are
-``{"owner": [agentIndex-or-null, ...]}``.
+emits the canonical 'p/q' form.  Any other top-level key is rejected, so
+that no file is read silently in another value space or format.
+Allocation files are ``{"owner": [agentIndex-or-null, ...]}``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def parse_rational(x: Any) -> Fraction:
 
 
 def instance_to_obj(instance: Instance) -> dict:
-    obj: dict = {
+    return {
         "num_items": instance.num_items,
         "agents": [
             {
@@ -37,14 +38,16 @@ def instance_to_obj(instance: Instance) -> dict:
             for a in instance.agents
         ],
     }
-    if any(s != 1 for s in instance.scales):
-        obj["scales"] = [str(s) for s in instance.scales]
-    return obj
 
 
 def instance_from_obj(obj: Any) -> Instance:
     if not isinstance(obj, dict):
         raise InvalidInstance("instance JSON must be an object")
+    unknown = [key for key in obj if key not in ("num_items", "agents")]
+    if unknown:
+        raise InvalidInstance(
+            f"unknown field {unknown[0]!r}: an instance holds only num_items and agents"
+        )
     try:
         m = obj["num_items"]
         agents = obj["agents"]
@@ -67,10 +70,7 @@ def instance_from_obj(obj: Any) -> Instance:
                 f"agent {k} has {len(row)} values, expected {m}"
             )
         values.append(row)
-    scales = None
-    if "scales" in obj:
-        scales = [parse_rational(s) for s in obj["scales"]]
-    return make_instance(weights, values, scales)
+    return make_instance(weights, values)
 
 
 def allocation_to_obj(alloc: Allocation) -> dict:

@@ -32,7 +32,6 @@ def brute_force_opt(instance: Instance) -> tuple[Allocation, float]:
         raise TooLarge(f"{n}^{m} assignments exceed the brute-force guard")
     vals = [[float(v) for v in a.values] for a in instance.agents]
     weights = [float(a.weight) for a in instance.agents]
-    scales = [float(s) for s in instance.scales]
     positive = [w > 0 for w in weights]
     best_lw = -math.inf
     best: tuple[int, ...] | None = None
@@ -47,7 +46,7 @@ def brute_force_opt(instance: Instance) -> tuple[Allocation, float]:
             if sums[i] == 0.0:
                 lw = -math.inf
                 break
-            lw += weights[i] * math.log(scales[i] * sums[i])
+            lw += weights[i] * math.log(sums[i])
         if best is None or lw > best_lw:
             best_lw = lw
             best = assign

@@ -32,6 +32,7 @@ from .core import (
     EmptyAgent,
     Instance,
     _augment,
+    int_row,
 )
 from .configlp import ColumnSolution
 
@@ -70,25 +71,18 @@ class MatchingCombination:
 def marginals(y: ColumnSolution, n: int, m: int) -> tuple[Marginals, int]:
     """(x, D): x[i][j] is the total mass of agent i's columns containing
     item j, times D, the lcm of the column masses' denominators."""
-    denom = math.lcm(*(mass.denominator for mass in y.mass))
+    masses, denom = int_row(y.mass)
     x = [[0] * m for _ in range(n)]
-    for col, mass in zip(y.columns, y.mass):
-        a = mass.numerator * (denom // mass.denominator)
+    for col, a in zip(y.columns, masses):
         row = x[col.agent]
         for j in col.items:
             row[j] += a
     return x, denom
 
 
-def _int_values(values) -> tuple[list[int], int]:
-    """A row of ``Fraction``s as ints over their common denominator d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def item_order(instance: Instance, i: int) -> list[int]:
     """Items sorted by non-increasing v_ij, ties by smaller index."""
-    vals, _ = _int_values(instance.agents[i].values)
+    vals, _ = int_row(instance.agents[i].values)
     return sorted(range(instance.num_items), key=vals.__getitem__, reverse=True)
 
 
@@ -355,15 +349,15 @@ def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation
     matching that gives one item twice raises ``ValueError``.
     """
     ints = []  # each agent's values as ints over their common denominator
-    params: list[Optional[tuple[float, int, int]]] = []  # (w, num, den) if w > 0
+    params: list[Optional[tuple[float, int]]] = []  # (w, d) if w > 0
     # A zero-weight agent's term stays 0.0, and adding 0.0 leaves a float
     # sum unchanged, so every score still equals log_nsw's.
     terms: list[float] = []
-    for agent, scale in zip(instance.agents, instance.scales):
-        row, d = _int_values(agent.values)
+    for agent in instance.agents:
+        row, d = int_row(agent.values)
         ints.append(row)
         if agent.weight != 0:
-            params.append((float(agent.weight), scale.numerator, scale.denominator * d))
+            params.append((float(agent.weight), d))
             terms.append(-math.inf)
         else:
             params.append(None)
@@ -390,9 +384,9 @@ def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation
             raise ValueError("an item is matched twice")
         for i in agents:
             if (p := params[i]) is not None:
-                w, num, den = p
+                w, d = p
                 s = sums[i]
-                terms[i] = w * math.log((num * s) / den) if s else -math.inf
+                terms[i] = w * math.log(s / d) if s else -math.inf
         lw = reduce(add, terms, 0.0)
         if best is None or lw > best_lw:
             best, best_lw = mat, lw

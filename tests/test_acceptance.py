@@ -20,6 +20,7 @@ from nswlp import (
     decompose,
     full_enumeration_lp,
     nsw,
+    scale_values,
     separation_oracle,
 )
 from nswlp.cli import main as cli_main
@@ -27,7 +28,7 @@ from nswlp.cli import solve_pipeline
 from nswlp.gen import random_solvable_instance
 from nswlp.rounding import round_combination
 from conftest import int_marginals, random_feasible_marginals, positive_instance
-from test_configlp import oracle_inequality_high_precision, scaled_work
+from test_configlp import oracle_inequality_high_precision
 
 EPSILON = 0.1
 RATIO_BOUND = math.e ** (1 / math.e) + EPSILON + 1e-6
@@ -110,7 +111,7 @@ def test_criterion_4_oracle_complete_and_sound():
     while duals < 500:
         n, m = rng.randint(1, 2), rng.randint(4, 8)
         inst = random_solvable_instance(n, m, rng)
-        work = scaled_work(inst)
+        work = scale_values(inst)
         # per-agent subset values once per instance
         subset_val = []
         for agent in work.agents:
@@ -318,13 +319,13 @@ def test_criterion_8_per_agent_average_bound(corpus):
             if inst.agents[i].weight == 0:
                 continue
             share = sum(
-                float(y) * math.log(float(inst.scales[i] * col.value))
+                float(y) * math.log(float(col.value))
                 for col, y in zip(colsol.columns, colsol.mass)
                 if col.agent == i
             )
             avg = sum(
                 float(lam)
-                * math.log(float(inst.scales[i] * inst.bundle_value(i, bundle)))
+                * math.log(float(inst.bundle_value(i, bundle)))
                 for lam, bundle in zip(comb.weights, agent_bundles(comb, i))
             )
             checked += 1

@@ -132,11 +132,44 @@ def test_solve_invalid_input_exit_code(tmp_path):
     assert main(["solve", str(invalid), "-o", str(tmp_path / "a.json")]) == 2
 
 
+@pytest.mark.parametrize("epsilon", ["5", "0", "nan"])
+@pytest.mark.parametrize(
+    "values",
+    # the second instance has no allocation with positive welfare
+    [[[4, 1, 2], [1, 3, 2]], [[1, 2, 3], [0, 0, 0]]],
+    ids=["solvable", "no-positive"],
+)
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_epsilon_out_of_range_exit_code(tmp_path, capsys, command, values, epsilon):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    write_instance(d / "i.json", ["1/2", "1/2"], values)
+    out = tmp_path / "out"
+    args = ["-o", str(out), "--epsilon", epsilon]
+    if command == "solve":
+        args = ["solve", str(d / "i.json"), "--report", str(tmp_path / "r"), *args]
+    else:
+        args = ["bench", str(d), *args]
+    assert main(args) == 2
+    shown = repr(float(epsilon))
+    err = capsys.readouterr().err
+    assert err == f"error: --epsilon must be in (0, 1], got {shown}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
 def test_solve_invalid_instance_names_the_file(tmp_path, capsys):
     invalid = tmp_path / "inv.json"
     invalid.write_text(json.dumps({"num_items": 1, "agents": [{"weight": "1/2", "values": ["1"]}]}))
     assert main(["solve", str(invalid), "-o", str(tmp_path / "a.json")]) == 2
     assert f"error: {invalid}: weights sum to 1/2" in capsys.readouterr().err
+    # Per-agent value multipliers would be read in another value space.
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(
+        json.dumps({"num_items": 1, "agents": [{"weight": "1", "values": ["1"]}], "scales": ["2"]})
+    )
+    assert main(["solve", str(scaled), "-o", str(tmp_path / "a.json")]) == 2
+    assert f"error: {scaled}: unknown field 'scales'" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_solve_gift_leftovers(tmp_path):

@@ -9,7 +9,6 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from nswlp import (
     DualPoint,
-    Instance,
     NumericalCollapse,
     TooLarge,
     brute_force_opt,
@@ -35,11 +34,6 @@ from conftest import (
 )
 
 mpmath.mp.dps = 60
-
-
-def scaled_work(instance):
-    s = scale_values(instance)
-    return Instance(num_items=instance.num_items, agents=s.agents)
 
 
 # -- knapsack cover ----------------------------------------------------------
@@ -116,7 +110,7 @@ def oracle_inequality_high_precision(instance, epsilon, alpha, beta, i, items):
 
 def test_oracle_zero_dual_finds_violation():
     inst = make_instance(["1"], [[4, 2]])
-    work = scaled_work(inst)
+    work = scale_values(inst)
     res = separation_oracle(work, 0.1, DualPoint(alpha=(0.0, 0.0), beta=(0.0,)))
     assert res is not None
     i, items = res
@@ -125,7 +119,7 @@ def test_oracle_zero_dual_finds_violation():
 
 def test_oracle_slack_dual_returns_none():
     inst = make_instance(["1/2", "1/2"], [[4, 2, 1], [1, 3, 2]])
-    work = scaled_work(inst)
+    work = scale_values(inst)
     vmax = 4.0
     big = math.log(3 * vmax * vmax)
     res = separation_oracle(
@@ -141,7 +135,7 @@ def test_oracle_complete_and_sound_on_random_duals():
     while trials < 250:
         n, m = rng.randint(1, 2), rng.randint(2, 8)
         inst = random_solvable_instance(n, m, rng)
-        work = scaled_work(inst)
+        work = scale_values(inst)
         vmax = max(float(max(a.values)) for a in work.agents)
         hi = math.log(m * vmax * vmax) + 0.5
         for _ in range(10):
@@ -167,7 +161,7 @@ def test_plans_on_ints_match_fraction_arithmetic():
         n = rng.randint(1, 3)
         m = rng.randint(max(2, n), 9)
         inst = random_solvable_instance(n, m, rng, dist=rng.choice(["uniform", "zipf"]))
-        work = scaled_work(inst)
+        work = scale_values(inst)
         eps = rng.choice([0.025, 0.1, 0.25])
         for plan, agent in zip(configlp._build_plans(work, eps), work.agents):
             for guess in plan.guesses:
@@ -206,7 +200,7 @@ def test_oracle_early_exit_matches_every_guess_sweep():
         n = rng.randint(1, 3)
         m = rng.randint(max(2, n), 8)
         inst = random_solvable_instance(n, m, rng, dist=rng.choice(["uniform", "zipf"]))
-        work = scaled_work(inst)
+        work = scale_values(inst)
         plans = configlp._build_plans(work, 0.1)
         vmax = max(float(max(a.values)) for a in work.agents)
         hi = math.log(m * vmax * vmax) + 0.5
@@ -224,14 +218,14 @@ def test_oracle_early_exit_matches_every_guess_sweep():
 
 
 def test_oracle_rejects_negative_alpha():
-    work = scaled_work(make_instance(["1"], [[4, 2]]))
+    work = scale_values(make_instance(["1"], [[4, 2]]))
     with pytest.raises(ValueError, match="negative alpha"):
         separation_oracle(work, 0.1, DualPoint(alpha=(0.5, -0.1), beta=(0.0,)))
 
 
 def test_oracle_handles_zero_weight_agent():
     inst = make_instance(["1", "0"], [[2, 1], [1, 1]])
-    work = scaled_work(inst)
+    work = scale_values(inst)
     # negative beta for the zero-weight agent violates its constraints
     res = separation_oracle(work, 0.5, DualPoint(alpha=(0.5, 0.5), beta=(5.0, -2.0)))
     assert res is not None
@@ -245,7 +239,7 @@ def test_oracle_handles_zero_weight_agent():
 
 def test_ellipsoid_low_guess_collects_columns_or_ends_feasible():
     inst = make_instance(["1"], [[1, 0]])
-    work = scaled_work(inst)
+    work = scale_values(inst)
     run = ellipsoid_run(work, -1.0, 0.1)
     assert run.reason in ("volume", "flat", "feasible-center")
     if run.reason != "feasible-center":
@@ -256,7 +250,7 @@ def test_ellipsoid_low_guess_collects_columns_or_ends_feasible():
 
 def test_ellipsoid_generous_guess_ends_feasible_fast():
     inst = make_instance(["1/2", "1/2"], [[4, 2, 1], [1, 3, 2]])
-    work = scaled_work(inst)
+    work = scale_values(inst)
     m, n = 3, 2
     vmax = 4.0
     o = (n + m) * math.log(m * vmax * vmax) + 1.0
@@ -281,7 +275,7 @@ def test_ellipsoid_volume_shrink_rate_identity():
 
 def test_ellipsoid_two_dimensional_run_terminates_within_cap():
     inst = make_instance(["1"], [[3]])
-    work = scaled_work(inst)
+    work = scale_values(inst)
     run = ellipsoid_run(work, -2.0, 0.5)
     d = 2
     vmax = 3.0
@@ -491,6 +485,35 @@ def test_solve_lp_zero_weight_agent_gets_nothing():
     assert sol.lp_value == pytest.approx(math.log(5))
 
 
+def test_solve_lp_rescaled_agents_shift_lp_value_only():
+    # Multiplying agent i's values by c_i > 0 adds w_i ln c_i to every
+    # column's log value, and each agent's masses sum to 1, so the LP value
+    # shifts by sum(w_i ln c_i) and its optimal vertices stay the same.
+    rng = random.Random(15)
+    for k in range(60):
+        n = rng.randint(2, 5)
+        m = rng.randint(n, 12)
+        dist = "zipf" if k % 2 else "uniform"
+        weight_kind = "dirichlet" if k % 3 == 0 else "uniform"
+        inst = random_solvable_instance(n, m, rng, dist=dist, weight_kind=weight_kind)
+        factors = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**3)) for _ in range(n)]
+        rescaled = make_instance(
+            [a.weight for a in inst.agents],
+            [[v * c for v in a.values] for a, c in zip(inst.agents, factors)],
+        )
+        sol, sol_c = solve_configuration_lp(inst, 0.1), solve_configuration_lp(rescaled, 0.1)
+        assert [(c.agent, c.items) for c in sol_c.columns] == [
+            (c.agent, c.items) for c in sol.columns
+        ]
+        assert sol_c.mass == sol.mass
+        assert [c.value for c in sol_c.columns] == [
+            c.value * factors[c.agent] for c in sol.columns
+        ]
+        shift = sum(float(a.weight) * math.log(c) for a, c in zip(inst.agents, factors))
+        assert sol_c.lp_value == pytest.approx(sol.lp_value + shift, abs=1e-9)
+        assert round_best(rescaled, sol_c) == round_best(inst, sol)
+
+
 def test_solve_lp_repriced_pooled_column_raises(monkeypatch):
     # Agent 0's best singleton is always pooled; an oracle that prices it
     # again would loop forever without the guard.
@@ -572,7 +595,7 @@ def test_ratio_screen_returns_verified_cuts_at_most_one_per_agent():
         n = rng.randint(1, 4)
         m = rng.randint(max(2, n), 9)
         inst = random_solvable_instance(n, m, rng, dist=rng.choice(["uniform", "zipf"]))
-        work = scaled_work(inst)
+        work = scale_values(inst)
         plans = configlp._build_plans(work, 0.1)
         vmax = max(float(max(a.values)) for a in work.agents)
         hi = math.log(m * vmax * vmax) + 0.5

@@ -87,40 +87,18 @@ def test_scale_values_divides_by_min_positive():
     inst = make_instance(["1"], [["0.5", "2", "0"]])
     scaled = scale_values(inst)
     assert scaled.agents[0].values == (Fraction(1), Fraction(4), Fraction(0))
-    assert scaled.scales == (Fraction(1, 2),)
 
 
 def test_scale_values_non_integer_ratio():
     inst = make_instance(["1"], [[3, 7]])
     scaled = scale_values(inst)
     assert scaled.agents[0].values == (Fraction(1), Fraction(7, 3))
-    assert scaled.scales == (Fraction(3),)
 
 
 def test_scale_values_all_zero_row_unchanged():
     inst = make_instance(["1/2", "1/2"], [[0, 0], [1, 2]])
     scaled = scale_values(inst)
     assert scaled.agents[0].values == (Fraction(0), Fraction(0))
-    assert scaled.scales[0] == 1
-
-
-def test_scale_values_preserves_log_nsw():
-    rng = random.Random(4)
-    for _ in range(40):
-        n, m = rng.randint(1, 3), rng.randint(1, 5)
-        weights = [Fraction(1, n)] * n
-        values = [[rng.randint(0, 8) for _ in range(m)] for _ in range(n)]
-        inst = make_instance(weights, values)
-        scaled = scale_values(inst)
-        for _ in range(2):
-            owner = tuple(rng.choice([None] + list(range(n))) for _ in range(m))
-            a = Allocation(owner)
-            lw = log_nsw(inst, a)
-            lw_scaled = log_nsw(scaled, a)
-            if lw == -math.inf:
-                assert lw_scaled == -math.inf
-            else:
-                assert lw_scaled == pytest.approx(lw, abs=1e-12)
 
 
 def test_log_nsw_permutation_equivariance():
@@ -230,6 +208,11 @@ def test_malformed_instance_rejected():
         jsonio.instance_from_obj({"agents": []})
     with pytest.raises(InvalidInstance):
         jsonio.instance_from_obj({"num_items": 1, "agents": [{"weight": "x/y", "values": ["1"]}]})
+    # Per-agent value multipliers would put the values in another value space.
+    with pytest.raises(InvalidInstance, match="unknown field 'scales'"):
+        jsonio.instance_from_obj(
+            {"num_items": 1, "agents": [{"weight": "1", "values": ["1"]}], "scales": ["2"]}
+        )
 
 
 @st.composite

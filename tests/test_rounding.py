@@ -575,12 +575,13 @@ def test_best_allocation_matches_log_nsw_argmax(rng):
             weights[0] = F(1)
         total = sum(weights)
         weights = [w / total for w in weights]
+        # Large per-agent factors give the bundle sums large denominators.
+        factors = [F(rng.randint(1, 10**6), rng.randint(1, 10**3)) for _ in range(n)]
         values = [
-            [F(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(m)]
-            for _ in range(n)
+            [F(rng.randint(0, 40), rng.randint(1, 9)) * c for _ in range(m)]
+            for c in factors
         ]
-        scales = [F(rng.randint(1, 10**6), rng.randint(1, 10**3)) for _ in range(n)]
-        inst = make_instance(weights, values, scales)
+        inst = make_instance(weights, values)
         comb = hand_built(random_matchings(rng, n, m, rng.randint(1, 12)))
         assert best_allocation(inst, comb).owner == by_log_nsw(inst, comb).owner
         selection_follows_change_record(inst, comb)
@@ -589,8 +590,7 @@ def test_best_allocation_matches_log_nsw_argmax(rng):
 def test_best_allocation_first_of_exact_ties():
     inst = make_instance(
         ["0", "1/2", "1/2"],
-        [[9, 9, 9], ["3/2", "5/2", 1], ["3/2", "5/2", 1]],
-        ["7/3", 5, 5],
+        [[21, 21, 21], ["15/2", "25/2", 5], ["15/2", "25/2", 5]],
     )
     swapped = [
         {(1, 0): 2, (2, 0): 1},  # worse than the pair below

@@ -1,7 +1,12 @@
 """Command-line surface: solve, exact, verify, gen, bench.
 
-Exit codes: 0 success, 2 invalid input or guard violation, 3 no allocation
-with positive welfare exists, 4 numerical failure in the LP driver.
+Exit codes, assigned in :func:`main` alone: 0 success; 2 invalid input or
+guard violation (``InvalidInstance``, ``TooLarge``: a bad instance,
+allocation, ``--epsilon`` or ``gen`` argument, an empty ``bench`` directory,
+an ``exact`` instance over the brute-force guard); 3 no allocation with
+positive welfare exists (``solve`` still writes its files); 4 numerical
+failure in the LP driver (``NumericalCollapse``).  Any other exception ends
+in a traceback.
 """
 
 from __future__ import annotations
@@ -53,21 +58,32 @@ def _load_instance(path: str) -> Instance:
         raise InvalidInstance(f"{path}: {exc}") from exc
 
 
-def _bad_epsilon(epsilon: float) -> bool:
-    """Report an ``--epsilon`` outside (0, 1], nan included."""
-    if 0.0 < epsilon <= 1.0:
-        return False
-    print(f"error: --epsilon must be in (0, 1], got {epsilon!r}", file=sys.stderr)
-    return True
+def _check_epsilon(epsilon: float) -> None:
+    """Reject an ``--epsilon`` outside (0, 1], nan included."""
+    if not 0.0 < epsilon <= 1.0:
+        raise InvalidInstance(f"--epsilon must be in (0, 1], got {epsilon!r}")
 
 
-def _write_json(path: Optional[str], obj: dict) -> None:
-    text = jsonio.dumps(obj)
+def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _welfare(instance: Instance, alloc: Allocation) -> dict:
+    """``nsw`` and ``log_nsw`` (``None`` at zero welfare) from exact bundle sums."""
+    lw = log_nsw(instance, alloc)
+    return {"nsw": nsw(instance, alloc), "log_nsw": None if lw == -math.inf else lw}
+
+
+def _opt_nsw(instance: Instance, guard: int = BRUTE_FORCE_GUARD) -> Optional[float]:
+    """Brute-force optimum welfare, or None when n^m exceeds the guard."""
+    if instance.num_agents**instance.num_items > min(guard, BRUTE_FORCE_GUARD):
+        return None
+    _, opt_lw = brute_force_opt(instance)
+    return 0.0 if opt_lw == -math.inf else math.exp(opt_lw)
 
 
 def _gift_leftovers(instance: Instance, alloc: Allocation) -> Allocation:
@@ -93,8 +109,11 @@ def solve_pipeline(
 
     Returns (allocation, lp solution, number of matchings in the
     combination).  ``mode='sample'`` draws one matching with its convex
-    weight instead of taking the best.
+    weight instead of taking the best.  Raises ValueError for an epsilon
+    outside (0, 1], nan included.
     """
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     colsol = solve_configuration_lp(instance, epsilon / 4.0)
     comb = round_combination(instance, colsol)
     if mode == "sample":
@@ -115,94 +134,53 @@ def solve_pipeline(
     return chosen, colsol, len(comb.matchings)
 
 
-def _report(
-    instance: Instance,
-    alloc: Allocation,
-    colsol: Optional[ColumnSolution],
-    epsilon: float,
-    matchings: int,
-    runtime_ms: int,
-) -> dict:
-    lw = log_nsw(instance, alloc)
-    value = nsw(instance, alloc)
-    lp_value = colsol.lp_value if colsol is not None else None
-    report = {
-        "nsw": value,
-        "log_nsw": None if lw == -math.inf else lw,
-        "lp_value": lp_value,
-        "epsilon": epsilon,
-        "matchings": matchings,
-        "runtime_ms": runtime_ms,
-    }
-    if lp_value is not None and value > 0:
-        report["lp_ratio"] = math.exp(lp_value) / value
-    return report
-
-
 def cmd_solve(args) -> int:
-    if _bad_epsilon(args.epsilon):
-        return EXIT_INPUT
-    try:
-        inst = _load_instance(args.instance)
-    except InvalidInstance as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _check_epsilon(args.epsilon)
+    inst = _load_instance(args.instance)
     t0 = time.monotonic()
     try:
         alloc, colsol, nmatch = solve_pipeline(
             inst, args.epsilon, mode=args.mode, seed=args.seed, gift=args.gift_leftovers
         )
+        lp_value, code = colsol.lp_value, EXIT_OK
     except Infeasible:
         # The LP driver's assignment baseline found no positive-value
         # matching of the positive-weight agents.
-        alloc = Allocation(owner=(None,) * inst.num_items)
-        _write_json(args.output, jsonio.allocation_to_obj(alloc))
-        _write_json(args.report, _report(inst, alloc, None, args.epsilon, 0, 0))
+        alloc, nmatch = Allocation(owner=(None,) * inst.num_items), 0
+        lp_value, code = None, EXIT_NO_POSITIVE
+    timed = args.timings and code == EXIT_OK
+    runtime_ms = int((time.monotonic() - t0) * 1000) if timed else 0
+    report = _welfare(inst, alloc)
+    report.update(lp_value=lp_value, epsilon=args.epsilon, matchings=nmatch, runtime_ms=runtime_ms)
+    if lp_value is not None and report["nsw"] > 0:
+        report["lp_ratio"] = math.exp(lp_value) / report["nsw"]
+    _write(args.output, jsonio.dumps(jsonio.allocation_to_obj(alloc)))
+    _write(args.report, jsonio.dumps(report))
+    if code == EXIT_NO_POSITIVE:
         print("no allocation with positive welfare exists", file=sys.stderr)
-        return EXIT_NO_POSITIVE
-    except NumericalCollapse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLAPSE
-    runtime_ms = int((time.monotonic() - t0) * 1000) if args.timings else 0
-    _write_json(args.output, jsonio.allocation_to_obj(alloc))
-    _write_json(args.report, _report(inst, alloc, colsol, args.epsilon, nmatch, runtime_ms))
-    return EXIT_OK
+    return code
 
 
 def cmd_exact(args) -> int:
-    try:
-        inst = _load_instance(args.instance)
-        alloc, lw = brute_force_opt(inst)
-    except (InvalidInstance, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _write_json(args.output, jsonio.allocation_to_obj(alloc))
-    _write_json(
-        args.report,
-        {
-            "nsw": nsw(inst, alloc),
-            "log_nsw": None if lw == -math.inf else lw,
-        },
-    )
+    inst = _load_instance(args.instance)
+    alloc, _ = brute_force_opt(inst)
+    _write(args.output, jsonio.dumps(jsonio.allocation_to_obj(alloc)))
+    _write(args.report, jsonio.dumps(_welfare(inst, alloc)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    inst = _load_instance(args.instance)
     try:
-        inst = _load_instance(args.instance)
-        alloc = jsonio.load_allocation(args.allocation)
-        value = nsw(inst, alloc)
-        lw = log_nsw(inst, alloc)
-    except (InvalidInstance, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    out = {"nsw": value, "log_nsw": None if lw == -math.inf else lw}
-    if inst.num_agents**inst.num_items <= min(args.guard, BRUTE_FORCE_GUARD):
-        _, opt_lw = brute_force_opt(inst)
-        opt = 0.0 if opt_lw == -math.inf else math.exp(opt_lw)
+        out = _welfare(inst, jsonio.load_allocation(args.allocation))
+    except ValueError as exc:
+        raise InvalidInstance(str(exc)) from exc
+    opt = _opt_nsw(inst, args.guard)
+    if opt is not None:
+        value = out["nsw"]
         out["opt_nsw"] = opt
         out["ratio"] = opt / value if value > 0 else (1.0 if opt == 0 else math.inf)
-    _write_json(args.output, out)
+    _write(args.output, jsonio.dumps(out))
     return EXIT_OK
 
 
@@ -218,9 +196,8 @@ def cmd_gen(args) -> int:
             weight_kind=args.weights,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _write_json(args.output, jsonio.instance_to_obj(inst))
+        raise InvalidInstance(str(exc)) from exc
+    _write(args.output, jsonio.dumps(jsonio.instance_to_obj(inst)))
     return EXIT_OK
 
 
@@ -232,19 +209,15 @@ def _bench_one(task):
     try:
         alloc, colsol, _ = solve_pipeline(inst, epsilon)
     except Infeasible:
-        row["alg"] = "0.0"
-        row["lp"] = "0.0"
-        row["opt"] = "0.0"
-        row["ratio"] = "1.0"
+        row.update(opt="0.0", lp="0.0", alg="0.0", ratio="1.0")
         row["runtime_ms"] = str(int((time.monotonic() - t0) * 1000))
         return row
     row["runtime_ms"] = str(int((time.monotonic() - t0) * 1000))
     alg = nsw(inst, alloc)
     row["alg"] = repr(alg)
     row["lp"] = repr(math.exp(colsol.lp_value))
-    if inst.num_agents**inst.num_items <= BRUTE_FORCE_GUARD:
-        _, opt_lw = brute_force_opt(inst)
-        opt = 0.0 if opt_lw == -math.inf else math.exp(opt_lw)
+    opt = _opt_nsw(inst)
+    if opt is not None:
         row["opt"] = repr(opt)
         if alg > 0:
             row["ratio"] = repr(opt / alg)
@@ -256,37 +229,23 @@ def cmd_bench(args) -> int:
     import glob
     import os
 
-    if _bad_epsilon(args.epsilon):
-        return EXIT_INPUT
+    _check_epsilon(args.epsilon)
     paths = sorted(glob.glob(os.path.join(args.directory, "*.json")))
     if not paths:
-        print(f"error: no instance files in {args.directory}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInstance(f"no instance files in {args.directory}")
     tasks = [(p, args.epsilon) for p in paths]
-    try:
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_bench_one, tasks))
-        else:
-            rows = [_bench_one(t) for t in tasks]
-    except InvalidInstance as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalCollapse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLAPSE
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_bench_one, tasks))
+    else:
+        rows = [_bench_one(t) for t in tasks]
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["instance", "opt", "lp", "alg", "ratio", "runtime_ms"]
     )
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+    writer.writerows(rows)
+    _write(args.output, buf.getvalue())
     return EXIT_OK
 
 
@@ -343,8 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InvalidInstance, TooLarge) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except NumericalCollapse as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COLLAPSE
 
 
 if __name__ == "__main__":

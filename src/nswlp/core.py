@@ -112,13 +112,6 @@ class Allocation:
 
     owner: tuple[Optional[int], ...]
 
-    def bundles(self, num_agents: int) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(num_agents)]
-        for j, i in enumerate(self.owner):
-            if i is not None:
-                out[i].append(j)
-        return out
-
 
 def make_instance(
     weights: Sequence[RationalLike],

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from nswlp.cli import main
-from nswlp import configlp, jsonio, make_instance, nsw
+from nswlp import cli, configlp, jsonio, make_instance, nsw
+from nswlp.cli import main, solve_pipeline
 
 
 def write_instance(path, weights, values):
@@ -157,6 +157,38 @@ def test_epsilon_out_of_range_exit_code(tmp_path, capsys, command, values, epsil
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
 
+@pytest.mark.parametrize("epsilon", [3.0, 0.0, math.nan])
+def test_solve_pipeline_rejects_epsilon_out_of_range(monkeypatch, epsilon):
+    def no_solve(*args):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(cli, "solve_configuration_lp", no_solve)
+    inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\]"):
+        solve_pipeline(inst, epsilon)
+
+
+@pytest.mark.parametrize("command", ["verify", "gen", "bench"])
+def test_input_error_exit_code(tmp_path, capsys, command):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    out = tmp_path / "out"
+    if command == "verify":
+        write_instance(d / "i.json", ["1"], [[1, 2]])
+        (tmp_path / "a.json").write_text(json.dumps({"owner": [0]}))
+        args, shown = ["verify", str(d / "i.json"), str(tmp_path / "a.json")], "allocation length"
+    elif command == "gen":
+        args, shown = ["gen", "--agents", "2", "--items", "3", "--vmax", "-1"], ""
+    else:
+        args, shown = ["bench", str(d)], f"no instance files in {d}"
+    assert main([*args, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {shown}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_solve_invalid_instance_names_the_file(tmp_path, capsys):
     invalid = tmp_path / "inv.json"
     invalid.write_text(json.dumps({"num_items": 1, "agents": [{"weight": "1/2", "values": ["1"]}]}))
@@ -242,6 +274,21 @@ def test_exact_and_verify_roundtrip(tmp_path):
     assert nsw(inst, alloc) == pytest.approx(4.0)
 
 
+def test_exact_log_nsw_matches_verify(tmp_path):
+    # Fractional values whose float sums differ from the exact bundle sums
+    # in the last digit of log_nsw.
+    inst_path = tmp_path / "i.json"
+    inst_path.write_text(json.dumps({"num_items": 5, "agents": [
+        {"weight": "4/5", "values": ["17/11", "12/7", "1", "16/11", "0"]},
+        {"weight": "1/5", "values": ["5/3", "3", "8/11", "19/11", "13/11"]},
+    ]}))
+    opt_path, rep_path, out_path = (tmp_path / name for name in ("o.json", "r.json", "v.json"))
+    assert main(["exact", str(inst_path), "-o", str(opt_path), "--report", str(rep_path)]) == 0
+    assert main(["verify", str(inst_path), str(opt_path), "-o", str(out_path)]) == 0
+    report, verdict = json.loads(rep_path.read_text()), json.loads(out_path.read_text())
+    assert report == {"nsw": verdict["nsw"], "log_nsw": verdict["log_nsw"]}
+
+
 def test_exact_guard(tmp_path):
     inst_path = tmp_path / "i.json"
     write_instance(
@@ -282,6 +329,30 @@ def test_bench_parallel_matches_serial(tmp_path):
         return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
 
     assert strip_runtime(a.read_text()) == strip_runtime(b.read_text())
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_stdout_matches_output_files(tmp_path, capsys, command):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for seed in range(2):
+        main(["gen", "--agents", "2", "--items", "4", "--seed", str(seed), "-o", str(d / f"i{seed}.json")])
+    capsys.readouterr()
+    a, r = tmp_path / "a", tmp_path / "r"
+    if command == "solve":
+        args, files = ["solve", str(d / "i0.json")], ["-o", str(a), "--report", str(r)]
+    else:
+        args, files = ["bench", str(d)], ["-o", str(a)]
+    assert main(args) == 0
+    shown = capsys.readouterr().out
+    assert main(args + files) == 0
+    written = "".join(p.read_bytes().decode() for p in (a, r) if p.exists())
+    if command == "bench":
+        # runtime_ms, the last column, is measured on every run
+        shown, written = (
+            [line.rsplit(",", 1)[0] for line in text.split("\r\n")] for text in (shown, written)
+        )
+    assert shown == written
 
 
 def test_bench_directory_named_like_an_instance(tmp_path, capsys):

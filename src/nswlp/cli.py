@@ -12,6 +12,7 @@ in a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -45,17 +46,24 @@ EXIT_NO_POSITIVE = 3
 EXIT_COLLAPSE = 4
 
 
-def _load_instance(path: str) -> Instance:
+@contextlib.contextmanager
+def _input_file(path: str):
+    """Re-raise a read, JSON or format error as ``InvalidInstance`` naming ``path``."""
     try:
-        inst = jsonio.load_instance(path)
-        validate(inst)
-        return inst
+        yield
     except json.JSONDecodeError as exc:
         raise InvalidInstance(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except (InvalidInstance, OSError) as exc:
         raise InvalidInstance(f"{path}: {exc}") from exc
+
+
+def _load_instance(path: str) -> Instance:
+    with _input_file(path):
+        inst = jsonio.load_instance(path)
+        validate(inst)
+    return inst
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -109,29 +117,33 @@ def solve_pipeline(
 
     Returns (allocation, lp solution, number of matchings in the
     combination).  ``mode='sample'`` draws one matching with its convex
-    weight instead of taking the best.  Raises ValueError for an epsilon
-    outside (0, 1], nan included.
+    weight instead of taking the best: the weights' running float sum is
+    compared with one uniform draw, and only the drawn matching is
+    replayed.  Raises ValueError for an epsilon outside (0, 1], nan
+    included.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     colsol = solve_configuration_lp(instance, epsilon / 4.0)
     comb = round_combination(instance, colsol)
+    count = len(comb.steps)
     if mode == "sample":
-        rng = random.Random(seed)
-        u = rng.random()
+        u = random.Random(seed).random()
         acc = 0.0
-        pick = comb.matchings[-1]
-        for mat, lam in zip(comb.matchings, comb.weights):
-            acc += float(lam)
+        pick = count - 1
+        for k, step in enumerate(comb.steps):
+            # Int true division rounds correctly, as float of the reduced
+            # Fraction(step, denom) does, so the sum is the weights' sum.
+            acc += step / comb.denom
             if u < acc:
-                pick = mat
+                pick = k
                 break
-        chosen = allocation_from_matching(pick, instance.num_items)
+        chosen = allocation_from_matching(comb.matching(pick), instance.num_items)
     else:
         chosen = best_allocation(instance, comb)
     if gift:
         chosen = _gift_leftovers(instance, chosen)
-    return chosen, colsol, len(comb.matchings)
+    return chosen, colsol, count
 
 
 def cmd_solve(args) -> int:
@@ -171,8 +183,10 @@ def cmd_exact(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
+    with _input_file(args.allocation):
+        alloc = jsonio.load_allocation(args.allocation)
     try:
-        out = _welfare(inst, jsonio.load_allocation(args.allocation))
+        out = _welfare(inst, alloc)
     except ValueError as exc:
         raise InvalidInstance(str(exc)) from exc
     opt = _opt_nsw(inst, args.guard)

@@ -6,14 +6,19 @@ split exactly into a convex combination of partial matchings, and the best
 matching's allocation is returned.  Rounding runs on exact integers end to
 end: the marginals, the groups and the padded doubly stochastic square are
 all ints over one denominator D, the lcm of the column masses'
-denominators, so a unit of mass is the int D.  Only the final weights are
-``Fraction``s.  The Birkhoff-von-Neumann extraction keeps one perfect
-matching and repairs it: after each step only the rows whose matched edge
-ran out are matched again, by shortest (breadth-first) augmenting paths,
-each stopping at the first row it discovers next to a free column.
-Groups of full mass are matched in every extracted matching, which is what
-makes the per-agent bundles envy-free up to one item across the
-combination.
+denominators, so a unit of mass is the int D.  The Birkhoff-von-Neumann
+extraction keeps one perfect matching and repairs it: after each step only
+the rows whose matched edge ran out are matched again, by shortest
+(breadth-first) augmenting paths, each stopping at the first row it
+discovers next to a free column.  The combination is stored as per-step
+diffs: each extraction records only the groups whose item changed, with
+their old and new items, and its int step over D.  The selection scores
+the matchings straight from the diffs and replays them only up to the
+winner; the full matchings and the ``Fraction`` weights are built only
+when read.  Each agent's values are turned into one int row per call of
+:func:`round_best`, shared by the slicing and the selection.  Groups of
+full mass are matched in every extracted matching, which is what makes the
+per-agent bundles envy-free up to one item across the combination.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from heapq import heappop, heappush
 from operator import add
 from typing import Optional
@@ -41,31 +46,75 @@ Group = dict[int, int]  # item -> mass times D
 GroupSet = dict[int, list[Group]]
 Marginals = list[list[int]]  # x[i][j] = fraction of item j held by agent i, times D
 Matching = dict[GroupKey, int]  # (agent, group index) -> item
+Change = tuple[GroupKey, Optional[int], Optional[int]]  # (group, old item, new item)
+Rows = list[tuple[list[int], int]]  # per agent, its values as ints over d, and d
+
+
+def int_rows(instance: Instance) -> Rows:
+    """Each agent's values as ints over their common denominator."""
+    return [int_row(agent.values) for agent in instance.agents]
+
+
+def _replay(matching: Matching, diff: tuple[Change, ...]) -> None:
+    for g, _, j in diff:
+        if j is None:
+            del matching[g]
+        else:
+            matching[g] = j
 
 
 @dataclass(frozen=True)
 class MatchingCombination:
     """Convex combination of partial group-item matchings with exact
-    rational weights summing to one.
+    rational weights summing to one, stored as per-step diffs.
 
-    Each weight is an integer extraction step over the common denominator
-    D of the padded masses, returned as a reduced ``Fraction``.
+    ``diffs[k]`` lists, as ``(group, old item, new item)``, the groups whose
+    item in matching k differs from matching k - 1 (from the empty matching
+    for k = 0): a group that gains (old item None), swaps or loses (new
+    item None) its item.  Every other group holds the same item in both,
+    which lets :func:`best_allocation` rescore only the agents those groups
+    belong to.  ``steps[k]`` is matching k's weight as an int over
+    ``denom``, the common denominator D of the padded masses; the steps sum
+    to D.
 
     ``padded_edges`` counts the positive entries of the doubly stochastic
     matrix the decomposition ran on; the number of matchings never exceeds
     it, because each extraction deletes at least one edge.
 
-    ``changed[k]`` names the groups whose item in ``matchings[k]`` differs
-    from ``matchings[k - 1]`` (from the empty matching for k = 0): a group
-    that gains, swaps or loses its item.  Every other group holds the same
-    item in both, which lets :func:`best_allocation` rescore only the
-    agents those groups belong to.
+    ``matchings``, ``weights`` and ``changed`` are views of the record,
+    built on first access and cached: the matchings as dicts, the weights
+    as reduced ``Fraction``s, and per matching the changed groups in diff
+    order.  :meth:`matching` replays the diffs only up to one matching.
     """
 
-    matchings: tuple[Matching, ...]
-    weights: tuple[Fraction, ...]
+    diffs: tuple[tuple[Change, ...], ...]
+    steps: tuple[int, ...]
+    denom: int
     padded_edges: int
-    changed: tuple[tuple[GroupKey, ...], ...]
+
+    def matching(self, k: int) -> Matching:
+        """Matching k, replayed from the first k + 1 diffs."""
+        out: Matching = {}
+        for diff in self.diffs[: k + 1]:
+            _replay(out, diff)
+        return out
+
+    @cached_property
+    def matchings(self) -> tuple[Matching, ...]:
+        current: Matching = {}
+        out = []
+        for diff in self.diffs:
+            _replay(current, diff)
+            out.append(current.copy())
+        return tuple(out)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(step, self.denom) for step in self.steps)
+
+    @cached_property
+    def changed(self) -> tuple[tuple[GroupKey, ...], ...]:
+        return tuple(tuple(g for g, _, _ in diff) for diff in self.diffs)
 
 
 def marginals(y: ColumnSolution, n: int, m: int) -> tuple[Marginals, int]:
@@ -80,13 +129,18 @@ def marginals(y: ColumnSolution, n: int, m: int) -> tuple[Marginals, int]:
     return x, denom
 
 
-def item_order(instance: Instance, i: int) -> list[int]:
-    """Items sorted by non-increasing v_ij, ties by smaller index."""
-    vals, _ = int_row(instance.agents[i].values)
+def item_order(instance: Instance, i: int, rows: Optional[Rows] = None) -> list[int]:
+    """Items sorted by non-increasing v_ij, ties by smaller index.
+
+    ``rows``, when given, holds :func:`int_rows` of ``instance``.
+    """
+    vals = rows[i][0] if rows is not None else int_row(instance.agents[i].values)[0]
     return sorted(range(instance.num_items), key=vals.__getitem__, reverse=True)
 
 
-def build_groups(instance: Instance, x: Marginals, i: int, denom: int) -> list[Group]:
+def build_groups(
+    instance: Instance, x: Marginals, i: int, denom: int, rows: Optional[Rows] = None
+) -> list[Group]:
     """Slice agent i's fractional items into unit-mass groups.
 
     ``x`` holds the marginals as ints over ``denom``, so a unit of mass is
@@ -101,7 +155,7 @@ def build_groups(instance: Instance, x: Marginals, i: int, denom: int) -> list[G
     groups: list[Group] = []
     current: Group = {}
     room = denom
-    for j in item_order(instance, i):
+    for j in item_order(instance, i, rows):
         rest = row[j]
         while rest > 0:
             # room > 0 here, and a group is closed before j could reappear.
@@ -223,13 +277,14 @@ def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombinati
     was when the row was matched; only when a path moves the row to another
     column does the old edge get its residual back.  A heap holds
     ``(end, row)`` for every end set, and entries whose row has moved on or
-    was freed are dropped when they surface.  So each step's weight is the
-    smallest current end minus the total so far, and its freed rows, popped
-    in ascending order, are those whose ``end`` equals the new total.  The
-    real part of the matching (groups to items, dummies stripped) is one
-    dict updated only at the moved rows; each extracted matching is a copy
-    of it, recorded with the groups whose item changed.  Each weight is its
-    step over ``denom``.
+    was freed are dropped when they surface.  So each step is the smallest
+    current end minus the total so far, and its freed rows, popped in
+    ascending order, are those whose ``end`` equals the new total.
+
+    Each extraction is recorded as its step and its diff: per moved row of
+    a group whose item changed (dummies count as no item), the group, its
+    old item from ``held`` (per row, the item its group holds) and its new
+    item.  No matching is copied and no ``Fraction`` is made here.
     """
     cells, group_of, item_of = pad_square(groups, num_items, denom)
     size = len(group_of)
@@ -248,16 +303,15 @@ def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombinati
     total = 0
     free = list(range(size))
     edges = len(cells)
-    real: Matching = {}
-    matchings: list[Matching] = []
-    changes: list[tuple[GroupKey, ...]] = []
-    lams: list[int] = []
+    held: list[Optional[int]] = [None] * size
+    diffs: list[tuple[Change, ...]] = []
+    steps: list[int] = []
     while edges:
         moved: list[int] = []
         for r in free:
             if not _augment(adj, radj, near, col_of, row_of, r, moved):
                 raise DecompositionFailure("no perfect matching in positive support")
-        changed: list[GroupKey] = []
+        diff: list[Change] = []
         for r in moved:  # a row moved twice is settled at its first entry
             c = col_of[r]
             if (old := at[r]) == c:
@@ -267,21 +321,17 @@ def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombinati
             at[r] = c
             end[r] = e = total + adj[r][c]
             heappush(ends, (e, r))
-            if (g := group_of[r]) is not None and real.get(g) != (j := item_of[c]):
-                if j is None:
-                    del real[g]
-                else:
-                    real[g] = j
-                changed.append(g)
+            if (g := group_of[r]) is not None and (was := held[r]) != (j := item_of[c]):
+                diff.append((g, was, j))
+                held[r] = j
         # Every row is matched here, so once the entries whose end has moved
         # on are dropped, the top holds the smallest end.
         while end[ends[0][1]] != ends[0][0]:
             heappop(ends)
         step_end = ends[0][0]
-        lams.append(step_end - total)
+        steps.append(step_end - total)
         total = step_end
-        matchings.append(real.copy())
-        changes.append(tuple(changed))
+        diffs.append(tuple(diff))
         # Equal ends pop in ascending row order; a row already freed here
         # (at < 0) or moved on since its entry is skipped.
         free = []
@@ -300,10 +350,7 @@ def decompose(groups: GroupSet, num_items: int, denom: int) -> MatchingCombinati
     if total != denom:
         raise DecompositionFailure("extracted weights do not sum to 1")
     return MatchingCombination(
-        matchings=tuple(matchings),
-        weights=tuple(Fraction(lam, denom) for lam in lams),
-        padded_edges=len(cells),
-        changed=tuple(changes),
+        diffs=tuple(diffs), steps=tuple(steps), denom=denom, padded_edges=len(cells)
     )
 
 
@@ -317,10 +364,13 @@ def allocation_from_matching(matching: Matching, num_items: int) -> Allocation:
     return Allocation(owner=tuple(owner))
 
 
-def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombination:
+def round_combination(
+    instance: Instance, y: ColumnSolution, rows: Optional[Rows] = None
+) -> MatchingCombination:
     """Groups plus decomposition for a feasible column solution.
 
-    Raises ``ValueError`` when a column has negative mass.
+    ``rows``, when given, holds :func:`int_rows` of ``instance``.  Raises
+    ``ValueError`` when a column has negative mass.
     """
     for k, (col, mass) in enumerate(zip(y.columns, y.mass)):
         if mass < 0:
@@ -331,31 +381,35 @@ def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombinat
     n, m = instance.num_agents, instance.num_items
     x, denom = marginals(y, n, m)
     groups: GroupSet = {
-        i: build_groups(instance, x, i, denom) for i in range(n) if any(x[i])
+        i: build_groups(instance, x, i, denom, rows) for i in range(n) if any(x[i])
     }
     return decompose(groups, m, denom)
 
 
-def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation:
+def best_allocation(
+    instance: Instance, comb: MatchingCombination, rows: Optional[Rows] = None
+) -> Allocation:
     """Allocation of the first matching with the highest log welfare.
 
-    The matchings are scored in order, incrementally: ``comb.changed``
-    names the groups each matching changed, so only their agents' bundle
-    sums and log terms are updated, and only the winner is turned into an
+    The matchings are scored in order, incrementally, straight from
+    ``comb.diffs``: each diff names the groups the matching changed with
+    their old and new items, so only their agents' bundle sums and log
+    terms are updated, and only the winner is replayed and turned into an
     :class:`Allocation`.  Each score equals the one :func:`log_nsw`
     computes: bundle sums are exact ints over each agent's common value
-    denominator, int true division rounds correctly, as ``float`` of a
+    denominator (``rows``, :func:`int_rows` of ``instance``, computed here
+    when not given), int true division rounds correctly, as ``float`` of a
     ``Fraction`` does, and the terms are added from 0.0 in agent order.  A
     matching that gives one item twice raises ``ValueError``.
     """
-    ints = []  # each agent's values as ints over their common denominator
+    if rows is None:
+        rows = int_rows(instance)
+    ints = [row for row, _ in rows]
     params: list[Optional[tuple[float, int]]] = []  # (w, d) if w > 0
     # A zero-weight agent's term stays 0.0, and adding 0.0 leaves a float
     # sum unchanged, so every score still equals log_nsw's.
     terms: list[float] = []
-    for agent in instance.agents:
-        row, d = int_row(agent.values)
-        ints.append(row)
+    for agent, (_, d) in zip(instance.agents, rows):
         if agent.weight != 0:
             params.append((float(agent.weight), d))
             terms.append(-math.inf)
@@ -365,20 +419,18 @@ def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation
     sums = [0] * instance.num_agents
     holders = [0] * instance.num_items  # groups holding each item
     twice = 0  # items held by more than one group
-    prev: Matching = {}
-    best, best_lw = None, -math.inf
-    for mat, changed in zip(comb.matchings, comb.changed):
+    best, best_lw = -1, -math.inf
+    for k, diff in enumerate(comb.diffs):
         agents = set()
-        for g in changed:
-            i = g[0]
-            if (j := prev.get(g)) is not None:
-                sums[i] -= ints[i][j]
-                twice -= holders[j] == 2
-                holders[j] -= 1
-            if (j := mat.get(g)) is not None:
-                sums[i] += ints[i][j]
-                holders[j] += 1
-                twice += holders[j] == 2
+        for (i, _), old, new in diff:
+            if old is not None:
+                sums[i] -= ints[i][old]
+                twice -= holders[old] == 2
+                holders[old] -= 1
+            if new is not None:
+                sums[i] += ints[i][new]
+                holders[new] += 1
+                twice += holders[new] == 2
             agents.add(i)
         if twice:
             raise ValueError("an item is matched twice")
@@ -388,16 +440,17 @@ def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation
                 s = sums[i]
                 terms[i] = w * math.log(s / d) if s else -math.inf
         lw = reduce(add, terms, 0.0)
-        if best is None or lw > best_lw:
-            best, best_lw = mat, lw
-        prev = mat
-    return allocation_from_matching(best, instance.num_items)
+        if best < 0 or lw > best_lw:
+            best, best_lw = k, lw
+    return allocation_from_matching(comb.matching(best), instance.num_items)
 
 
 def round_best(instance: Instance, y: ColumnSolution) -> Allocation:
     """Best allocation among the matchings of the convex combination.
 
     The weighted average of the matchings' log welfare already sits within
-    1/e of the LP objective, so the argmax does too.
+    1/e of the LP objective, so the argmax does too.  Each agent's int row
+    is computed once here and shared by the slicing and the selection.
     """
-    return best_allocation(instance, round_combination(instance, y))
+    rows = int_rows(instance)
+    return best_allocation(instance, round_combination(instance, y, rows), rows)

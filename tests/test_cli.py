@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +187,28 @@ def test_input_error_exit_code(tmp_path, capsys, command):
     assert captured.err.startswith(f"error: {shown}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, shown",
+    [
+        (None, "[Errno 2] No such file or directory"),
+        ("{not json", "malformed JSON at line 1, column 2"),
+        ('{"owner": 0}', "'owner' must be a list"),
+    ],
+    ids=["missing", "malformed", "not-a-list"],
+)
+def test_verify_allocation_file_errors_name_the_file(tmp_path, capsys, content, shown):
+    inst = tmp_path / "i.json"
+    write_instance(inst, ["1"], [[1, 2]])
+    alloc, out = tmp_path / "a.json", tmp_path / "out"
+    if content is not None:
+        alloc.write_text(content)
+    assert main(["verify", str(inst), str(alloc), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {alloc}: {shown}")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 
@@ -405,3 +428,24 @@ def test_bench_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+# `gen --agents 10 --items 30 --dist zipf --seed 1`: its LP is fractional, so
+# the combination has 25 matchings and the draws pick different ones.
+SAMPLE_DIR = Path(__file__).parent / "data" / "sample_zipf_10x30"
+
+
+def test_sample_instance_is_gen_output(tmp_path):
+    out = tmp_path / "i.json"
+    args = ["gen", "--agents", "10", "--items", "30", "--dist", "zipf", "--seed", "1"]
+    assert main([*args, "-o", str(out)]) == 0
+    assert out.read_bytes() == (SAMPLE_DIR / "instance.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solve_sample_mode_output_pinned(tmp_path, seed):
+    alloc, report = tmp_path / "a.json", tmp_path / "r.json"
+    args = ["solve", str(SAMPLE_DIR / "instance.json"), "--mode", "sample", "--seed", str(seed)]
+    assert main([*args, "-o", str(alloc), "--report", str(report)]) == 0
+    assert alloc.read_bytes() == (SAMPLE_DIR / f"alloc_seed{seed}.json").read_bytes()
+    assert report.read_bytes() == (SAMPLE_DIR / f"report_seed{seed}.json").read_bytes()

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nswlp import (
     DecompositionFailure,
@@ -341,6 +342,45 @@ def test_decompose_matches_fraction_reference(rng):
     assert checked > 100
 
 
+@st.composite
+def grouped_marginals(draw):
+    """(groups, D, Fraction marginals, m): feasible marginals over a drawn
+    denominator, sliced into groups by a positive-valued instance."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    denom = draw(st.sampled_from([1, 2, 6, 12, 35]))
+    x = [[F(0)] * m for _ in range(n)]
+    for j in range(m):
+        left = denom
+        for i in range(n):
+            a = draw(st.integers(0, left))
+            x[i][j], left = F(a, denom), left - a
+    values = [[draw(st.integers(1, 5)) for _ in range(m)] for _ in range(n)]
+    inst = make_instance([F(1, n)] * n, values)
+    xi, d = int_marginals(x)
+    return marginal_groups(inst, xi, d), d, x, m
+
+
+@given(grouped_marginals())
+def test_diff_record_replays_fraction_reference(case):
+    groups, d, x, m = case
+    if not groups:
+        return
+    comb = decompose(groups, m, d)
+    matchings, weights, padded_edges = fraction_extraction(as_fractions(groups, d), x)
+    assert (comb.denom, sum(comb.steps), comb.padded_edges) == (d, d, padded_edges)
+    prev = {}
+    for k, (diff, mat) in enumerate(zip(comb.diffs, matchings, strict=True)):
+        assert all(old == prev.get(g) and new == mat.get(g) != old for g, old, new in diff)
+        assert comb.matching(k) == mat
+        prev = mat
+    views = (comb.matchings, comb.weights, comb.changed)
+    assert views[:2] == (matchings, weights)
+    assert [set(c) for c in comb.changed] == changed_groups(matchings)
+    assert all(len(set(c)) == len(c) for c in comb.changed)
+    comb.matching(len(matchings) - 1).clear()  # a replay is the caller's own dict
+    assert (comb.matchings, comb.weights, comb.changed) == views
+
+
 @pytest.mark.parametrize(
     "cells",
     [
@@ -538,14 +578,21 @@ def random_matchings(rng, n, m, count):
 
 
 def hand_built(matchings):
-    """A combination of the given matchings with the change record that
-    ``decompose`` would give them; weights are not read by the selection."""
-    return MatchingCombination(
-        matchings=tuple(matchings),
-        weights=(),
+    """A combination of the given matchings with the diff record that
+    ``decompose`` would give them: per matching, each changed group with
+    its old and new item.  The equal steps are not read by the selection."""
+    diffs, prev = [], {}
+    for mat, changed in zip(matchings, changed_groups(matchings)):
+        diffs.append(tuple((g, prev.get(g), mat.get(g)) for g in sorted(changed)))
+        prev = mat
+    comb = MatchingCombination(
+        diffs=tuple(diffs),
+        steps=(1,) * len(diffs),
+        denom=len(diffs),
         padded_edges=0,
-        changed=tuple(tuple(sorted(c)) for c in changed_groups(matchings)),
     )
+    assert comb.matchings == tuple(matchings)
+    return comb
 
 
 def by_log_nsw(inst, comb):

@@ -484,11 +484,16 @@ def _column_solution(
 def _augment_columns(
     instance: Instance, columns: Iterable[tuple[int, Sequence[int]]]
 ) -> list[tuple[int, tuple[int, ...]]]:
+    n, m = instance.num_agents, instance.num_items
     pool: dict[tuple[int, tuple[int, ...]], None] = {}
     for i, items in columns:
         key = (i, tuple(sorted(items)))
         if not key[1]:
             raise ValueError("empty column")
+        if not (0 <= i < n and 0 <= key[1][0] and key[1][-1] < m):
+            raise ValueError(f"column {key} has an agent or item index out of range")
+        if len(set(key[1])) < len(key[1]):
+            raise ValueError(f"column {key} repeats an item")
         if instance.bundle_value(i, key[1]) <= 0:
             raise ValueError("zero-value column")
         pool.setdefault(key)

@@ -4,9 +4,14 @@ Maximizes a double-precision linear objective subject to rational
 equality/inequality rows and x >= 0.  Feasibility is handled in exact
 Fraction arithmetic (two-phase revised simplex with an explicit rational
 basis inverse), so the returned vertex satisfies every constraint exactly.
-Objective comparisons use doubles with a 1e-12 threshold; the pivot rule is
-Dantzig until a long degenerate streak, then Bland, which guarantees
-termination.
+Objective comparisons use doubles with a 1e-12 threshold, priced against a
+float copy of each column made once; the pivot rule is Dantzig until a long
+degenerate streak, then Bland, which guarantees termination.
+
+Phase 1 starts from one artificial per row, and an artificial never enters
+the basis in either phase.  One left basic at zero on a redundant row is
+pivoted out by the ratio test as soon as an entering column touches its
+row; one that no column touches stays basic at zero through phase 2.
 """
 
 from __future__ import annotations
@@ -81,16 +86,17 @@ class _Tableau:
             elif senses[r] == ">=":
                 cols.append([(r, -_ONE)])
                 self.obj.append(0.0)
-        # One artificial per row; they start as the basis.
+        # One artificial per row, the starting basis.  Artificials never
+        # enter, so they need no column: only an index and a zero cost.
         self.first_artificial = len(cols)
-        for r in range(nr):
-            cols.append([(r, _ONE)])
-            self.obj.append(0.0)
+        self.obj += [0.0] * nr
         self.cols = cols
+        # Pricing runs in doubles; the pivots never change a column.
+        self.fcols = [[(r, float(a)) for r, a in col] for col in cols]
         self.nr = nr
         self.nv = nv
         self.basis = list(range(self.first_artificial, self.first_artificial + nr))
-        self.in_basis = [False] * len(cols)
+        self.in_basis = [False] * (self.first_artificial + nr)
         for j in self.basis:
             self.in_basis[j] = True
         self.binv = [
@@ -140,16 +146,16 @@ class _Tableau:
                     y[i] += cb * float(brow[i])
         return y
 
-    def reduced_costs(self, cost: Sequence[float], banned_from: int) -> list[tuple[float, int]]:
+    def reduced_costs(self, cost: Sequence[float]) -> list[tuple[float, int]]:
         y = self._dual_float(cost)
         out = []
-        for j in range(banned_from):
+        for j in range(self.first_artificial):
             if self.in_basis[j]:
                 continue
             rc = cost[j]
-            for r, a in self.cols[j]:
+            for r, a in self.fcols[j]:
                 if y[r]:
-                    rc -= y[r] * float(a)
+                    rc -= y[r] * a
             if rc > RC_TOL:
                 out.append((rc, j))
         return out
@@ -181,36 +187,29 @@ class _Tableau:
                     best_row = r
         return best_row
 
-    def run(self, cost: Sequence[float], banned_from: int,
-            exact_cost: Optional[Sequence[Fraction]] = None) -> str:
+    def run(self, cost: Sequence[float], certify: bool = False) -> str:
         """Iterate to float-level optimality; 'optimal' or 'unbounded'.
 
         Dantzig pricing in doubles until a long degenerate streak, then
         Bland's rule on exact reduced costs, which cannot cycle.  (Bland's
         argument needs true signs; rounded pricing can revisit a basis.)
-        When ``exact_cost`` is given (phase 1), the terminal pricing pass is
+        The exact costs are ``cost`` itself: its doubles are exact binary
+        rationals.  With ``certify`` (phase 1), the terminal pricing pass is
         also re-done exactly so feasibility is never misjudged.
         """
         degenerate = 0
         bland = False
-        exact: Optional[list[Fraction]] = (
-            list(exact_cost) if exact_cost is not None else None
-        )
+        exact: Optional[list[Fraction]] = None
         while True:
             j = None
-            if bland:
+            if not bland and (cands := self.reduced_costs(cost)):
+                # Dantzig: largest reduced cost, smallest index on ties.
+                best_rc = max(c[0] for c in cands)
+                j = min(jj for rc, jj in cands if rc == best_rc)
+            elif bland or certify:
                 if exact is None:
-                    # float coefficients are exact binary rationals
                     exact = [Fraction(c) for c in cost]
-                j = self._exact_entering(exact, banned_from)
-            else:
-                cands = self.reduced_costs(cost, banned_from)
-                if cands:
-                    # Dantzig: largest reduced cost, smallest index on ties.
-                    best_rc = max(c[0] for c in cands)
-                    j = min(jj for rc, jj in cands if rc == best_rc)
-                elif exact_cost is not None:
-                    j = self._exact_entering(exact_cost, banned_from)
+                j = self._exact_entering(exact)
             if j is None:
                 return "optimal"
             d = self.ftran(j)
@@ -225,7 +224,7 @@ class _Tableau:
                 degenerate = 0
             self.pivot(r, j, d)
 
-    def _exact_entering(self, cost: Sequence[Fraction], banned_from: int) -> Optional[int]:
+    def _exact_entering(self, cost: Sequence[Fraction]) -> Optional[int]:
         y = [_ZERO] * self.nr
         for r in range(self.nr):
             cb = cost[self.basis[r]]
@@ -234,7 +233,7 @@ class _Tableau:
             brow = self.binv[r]
             for i in range(self.nr):
                 y[i] += cb * brow[i]
-        for j in range(banned_from):
+        for j in range(self.first_artificial):
             if self.in_basis[j]:
                 continue
             rc = cost[j]
@@ -248,31 +247,19 @@ class _Tableau:
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Return a basic optimal solution, or an infeasible/unbounded status."""
     t = _Tableau(lp)
-    nr, nart = t.nr, t.nr
+    nr = t.nr
     # Phase 1: minimize the artificial sum (maximize its negation).
-    cost1 = [0.0] * t.first_artificial + [-1.0] * nart
-    exact1 = [_ZERO] * t.first_artificial + [Fraction(-1)] * nart
-    t.run(cost1, len(t.cols), exact_cost=exact1)
+    cost1 = [0.0] * t.first_artificial + [-1.0] * nr
+    t.run(cost1, certify=True)
     art_level = sum(
         (t.xb[r] for r in range(nr) if t.basis[r] >= t.first_artificial),
         _ZERO,
     )
     if art_level > 0:
         return LpSolution("infeasible", None, float("nan"))
-    # Evict basic artificials sitting at level zero where possible.
-    for r in range(nr):
-        if t.basis[r] < t.first_artificial:
-            continue
-        for j in range(t.first_artificial):
-            if t.in_basis[j]:
-                continue
-            d = t.ftran(j)
-            if d[r] != 0:
-                t.pivot(r, j, d)
-                break
     # Phase 2 on the real objective (zero on slacks and artificials);
-    # artificials may not re-enter but can linger basic on redundant rows.
-    status = t.run(t.obj, t.first_artificial)
+    # artificials at zero can linger basic on redundant rows.
+    status = t.run(t.obj)
     if status == "unbounded":
         return LpSolution("unbounded", None, float("inf"))
     values = [_ZERO] * t.nv

@@ -14,8 +14,7 @@ discovers next to a free column.  The combination is stored as per-step
 diffs: each extraction records only the groups whose item changed, with
 their old and new items, and its int step over D.  The selection scores
 the matchings straight from the diffs and replays them only up to the
-winner; the full matchings and the ``Fraction`` weights are built only
-when read.  Each agent's values are turned into one int row per call of
+winner.  Each agent's values are turned into one int row per call of
 :func:`round_best`, shared by the slicing and the selection.  Groups of
 full mass are matched in every extracted matching, which is what makes the
 per-agent bundles envy-free up to one item across the combination.
@@ -65,8 +64,8 @@ def _replay(matching: Matching, diff: tuple[Change, ...]) -> None:
 
 @dataclass(frozen=True)
 class MatchingCombination:
-    """Convex combination of partial group-item matchings with exact
-    rational weights summing to one, stored as per-step diffs.
+    """Convex combination of partial group-item matchings, stored as
+    per-step diffs with int weights over one denominator.
 
     ``diffs[k]`` lists, as ``(group, old item, new item)``, the groups whose
     item in matching k differs from matching k - 1 (from the empty matching
@@ -81,10 +80,9 @@ class MatchingCombination:
     matrix the decomposition ran on; the number of matchings never exceeds
     it, because each extraction deletes at least one edge.
 
-    ``matchings``, ``weights`` and ``changed`` are views of the record,
-    built on first access and cached: the matchings as dicts, the weights
-    as reduced ``Fraction``s, and per matching the changed groups in diff
-    order.  :meth:`matching` replays the diffs only up to one matching.
+    ``matchings`` replays every diff once, on first access, and caches the
+    matchings as dicts; :meth:`matching` replays the diffs only up to one
+    matching.
     """
 
     diffs: tuple[tuple[Change, ...], ...]
@@ -107,14 +105,6 @@ class MatchingCombination:
             _replay(current, diff)
             out.append(current.copy())
         return tuple(out)
-
-    @cached_property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(step, self.denom) for step in self.steps)
-
-    @cached_property
-    def changed(self) -> tuple[tuple[GroupKey, ...], ...]:
-        return tuple(tuple(g for g, _, _ in diff) for diff in self.diffs)
 
 
 def marginals(y: ColumnSolution, n: int, m: int) -> tuple[Marginals, int]:
@@ -370,15 +360,21 @@ def round_combination(
     """Groups plus decomposition for a feasible column solution.
 
     ``rows``, when given, holds :func:`int_rows` of ``instance``.  Raises
-    ``ValueError`` when a column has negative mass.
+    ``ValueError`` when a column has negative mass, an agent or item index
+    out of range, or a repeated item.
     """
-    for k, (col, mass) in enumerate(zip(y.columns, y.mass)):
-        if mass < 0:
-            raise ValueError(
-                f"column {k} (agent {col.agent}, items {col.items}) "
-                f"has negative mass {mass}"
-            )
     n, m = instance.num_agents, instance.num_items
+    for k, (col, mass) in enumerate(zip(y.columns, y.mass)):
+        items = col.items
+        if mass < 0:
+            why = f"negative mass {mass}"
+        elif not 0 <= col.agent < n or (items and not 0 <= min(items) <= max(items) < m):
+            why = "an agent or item index out of range"
+        elif len(set(items)) < len(items):
+            why = "a repeated item"
+        else:
+            continue
+        raise ValueError(f"column {k} (agent {col.agent}, items {items}) has {why}")
     x, denom = marginals(y, n, m)
     groups: GroupSet = {
         i: build_groups(instance, x, i, denom, rows) for i in range(n) if any(x[i])

@@ -341,6 +341,16 @@ def changed_groups(matchings):
     return out
 
 
+def comb_weights(comb):
+    """The combination's weights as reduced Fractions: its int steps over D."""
+    return tuple(Fraction(step, comb.denom) for step in comb.steps)
+
+
+def comb_changed(comb):
+    """Per matching, the groups its diff records, in diff order."""
+    return tuple(tuple(g for g, _, _ in diff) for diff in comb.diffs)
+
+
 def int_marginals(x):
     """Fraction marginals as ints over the lcm D of their denominators."""
     d = math.lcm(*(f.denominator for row in x for f in row))

@@ -306,6 +306,25 @@ def test_restricted_primal_single_column():
     assert sol.mass == (Fraction(1),)
 
 
+@pytest.mark.parametrize(
+    "values, columns, match",
+    [
+        # Item -1 would be read as item 1 and given to both agents at mass 1.
+        ([[1, 4], [1, 4]], [(0, (-1,)), (1, (1,))],
+         r"column \(0, \(-1,\)\) has an agent or item index out of range"),
+        ([[1, 4], [1, 4]], [(0, (0, 2))], "index out of range"),
+        ([[1, 4], [1, 4]], [(2, (0,))], "index out of range"),
+        ([[1, 4], [1, 4]], [(-1, (0,))], "index out of range"),
+        # Item 1 counted twice would be worth 8, above the LP optimum ln 5.
+        ([[1, 4]], [(0, (1, 1))], r"column \(0, \(1, 1\)\) repeats an item"),
+    ],
+)
+def test_restricted_primal_rejects_bad_indices(values, columns, match):
+    inst = make_instance([Fraction(1, len(values))] * len(values), values)
+    with pytest.raises(ValueError, match=match):
+        solve_restricted_primal(inst, columns, 0.1)
+
+
 def test_restricted_primal_two_agents_singletons():
     inst = make_instance(["1/2", "1/2"], [[2, 2], [2, 2]])
     cols = [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]

@@ -26,6 +26,8 @@ from nswlp.configlp import Column, ColumnSolution
 from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
     changed_groups,
+    comb_changed,
+    comb_weights,
     fraction_extraction,
     free_counts,
     fraction_groups,
@@ -216,7 +218,7 @@ def test_item_order_matches_negated_key_on_ties(rng):
 
 def combination_marginals_exact(groups, d, comb):
     got = {}
-    for mat, lam in zip(comb.matchings, comb.weights):
+    for mat, lam in zip(comb.matchings, comb_weights(comb)):
         for key, j in mat.items():
             got[(key, j)] = got.get((key, j), F(0)) + lam
     want = {}
@@ -230,8 +232,8 @@ def combination_marginals_exact(groups, d, comb):
 def changes_recorded(comb):
     """Each matching is the previous one with exactly the recorded groups
     changed, each recorded once."""
-    assert len(comb.changed) == len(comb.matchings)
-    for changed, want in zip(comb.changed, changed_groups(comb.matchings)):
+    assert len(comb.diffs) == len(comb.matchings)
+    for changed, want in zip(comb_changed(comb), changed_groups(comb.matchings)):
         assert len(set(changed)) == len(changed)
         assert set(changed) == want
 
@@ -239,7 +241,7 @@ def changes_recorded(comb):
 def test_decompose_two_overlapping_groups():
     groups = {0: [{0: 1, 1: 1}], 1: [{1: 1, 2: 1}]}  # masses over D = 2
     comb = decompose(groups, 3, 2)
-    assert sum(comb.weights, F(0)) == 1
+    assert sum(comb_weights(comb), F(0)) == 1
     combination_marginals_exact(groups, 2, comb)
     changes_recorded(comb)
 
@@ -250,21 +252,21 @@ def test_decompose_long_chain_without_recursion_limit():
     n = 1100
     groups = {i: [{i: 1, i + 1: 1}] for i in range(n)}  # masses over D = 2
     comb = decompose(groups, n + 1, 2)
-    assert sum(comb.weights, F(0)) == 1
+    assert sum(comb_weights(comb), F(0)) == 1
 
 
 def test_decompose_single_full_group():
     comb = decompose({0: [{0: 1}]}, 1, 1)
-    assert comb.weights == (F(1),)
+    assert comb_weights(comb) == (F(1),)
     assert comb.matchings == ({(0, 0): 0},)
-    assert comb.changed == (((0, 0),),)
+    assert comb_changed(comb) == (((0, 0),),)
 
 
 def test_decompose_single_fractional_group_has_empty_matching():
     comb = decompose({0: [{0: 1}]}, 1, 3)  # mass 1/3
-    assert sum(comb.weights, F(0)) == 1
+    assert sum(comb_weights(comb), F(0)) == 1
     weights_of = {(): F(0), ((0, 0), 0): F(0)}
-    for mat, lam in zip(comb.matchings, comb.weights):
+    for mat, lam in zip(comb.matchings, comb_weights(comb)):
         if mat:
             weights_of[((0, 0), 0)] += lam
         else:
@@ -291,8 +293,8 @@ def test_decompose_random_marginals(rng):
         if not groups:
             continue
         comb = decompose(groups, m, d)
-        assert sum(comb.weights, F(0)) == 1
-        assert all(lam > 0 for lam in comb.weights)
+        assert sum(comb_weights(comb), F(0)) == 1
+        assert all(lam > 0 for lam in comb_weights(comb))
         combination_marginals_exact(groups, d, comb)
         full_groups_always_matched(groups, d, comb)
         changes_recorded(comb)
@@ -335,7 +337,7 @@ def test_decompose_matches_fraction_reference(rng):
         if not groups:
             continue
         comb = decompose(groups, m, d)
-        assert (comb.matchings, comb.weights, comb.padded_edges) == (
+        assert (comb.matchings, comb_weights(comb), comb.padded_edges) == (
             fraction_extraction(as_fractions(groups, d), x)
         )
         checked += 1
@@ -373,12 +375,12 @@ def test_diff_record_replays_fraction_reference(case):
         assert all(old == prev.get(g) and new == mat.get(g) != old for g, old, new in diff)
         assert comb.matching(k) == mat
         prev = mat
-    views = (comb.matchings, comb.weights, comb.changed)
-    assert views[:2] == (matchings, weights)
-    assert [set(c) for c in comb.changed] == changed_groups(matchings)
-    assert all(len(set(c)) == len(c) for c in comb.changed)
+    assert (comb.matchings, comb_weights(comb)) == (matchings, weights)
+    changed = comb_changed(comb)
+    assert [set(c) for c in changed] == changed_groups(matchings)
+    assert all(len(set(c)) == len(c) for c in changed)
     comb.matching(len(matchings) - 1).clear()  # a replay is the caller's own dict
-    assert (comb.matchings, comb.weights, comb.changed) == views
+    assert comb.matchings == matchings
 
 
 @pytest.mark.parametrize(
@@ -411,8 +413,8 @@ def test_decompose_exact_with_denominators_beyond_int64(rng):
     assert d > 2**64
     groups = marginal_groups(inst, xi, d)
     comb = decompose(groups, len(LARGE_PRIMES), d)
-    assert sum(comb.weights, F(0)) == 1
-    assert all(isinstance(lam, Fraction) and lam > 0 for lam in comb.weights)
+    assert sum(comb_weights(comb), F(0)) == 1
+    assert all(type(step) is int and step > 0 for step in comb.steps)
     for mat in comb.matchings:
         assert len(set(mat.values())) == len(mat)
         for (i, t), j in mat.items():
@@ -420,7 +422,7 @@ def test_decompose_exact_with_denominators_beyond_int64(rng):
     combination_marginals_exact(groups, d, comb)
     full_groups_always_matched(groups, d, comb)
     changes_recorded(comb)
-    assert (comb.matchings, comb.weights, comb.padded_edges) == (
+    assert (comb.matchings, comb_weights(comb), comb.padded_edges) == (
         fraction_extraction(as_fractions(groups, d), x)
     )
 
@@ -519,7 +521,7 @@ def test_round_best_beats_weighted_average(rng):
             log_nsw(inst, allocation_from_matching(mat, m))
             for mat in comb.matchings
         ]
-        avg = sum(float(lam) * lw for lam, lw in zip(comb.weights, lws))
+        avg = sum(float(lam) * lw for lam, lw in zip(comb_weights(comb), lws))
         best = log_nsw(inst, round_best(inst, y))
         assert best >= avg - 1e-9
         assert best == pytest.approx(max(lws), abs=1e-12)
@@ -557,7 +559,7 @@ def test_per_agent_average_meets_lp_share(rng):
             )
             avg = 0.0
             dead = False
-            for mat, lam in zip(comb.matchings, comb.weights):
+            for mat, lam in zip(comb.matchings, comb_weights(comb)):
                 items = [j for (ag, _), j in mat.items() if ag == i]
                 v = inst.bundle_value(i, items)
                 if v == 0:
@@ -684,6 +686,25 @@ def test_round_combination_rejects_negative_mass(entries):
         round_combination(inst, y)
 
 
+@pytest.mark.parametrize("rounder", [round_combination, round_best])
+@pytest.mark.parametrize(
+    "bad, why",
+    [
+        ((-1, (1,)), "an agent or item index out of range"),  # read as agent 1
+        ((2, (1,)), "an agent or item index out of range"),
+        ((1, (1, -1)), "an agent or item index out of range"),  # read as item 2
+        ((1, (1, 3)), "an agent or item index out of range"),
+        ((1, (1, 1)), "a repeated item"),  # its mass would count twice
+    ],
+)
+def test_round_combination_rejects_bad_indices(rounder, bad, why):
+    inst = make_instance(["1/2", "1/2"], [[1, 2, 3], [3, 2, 1]])
+    columns = (Column(agent=0, items=(0,), value=F(1)), Column(*bad, value=F(2)))
+    y = ColumnSolution(columns=columns, mass=(F(1), F(1)), lp_value=0.0)
+    with pytest.raises(ValueError, match=rf"column 1 \(agent {bad[0]}, .*has {why}$"):
+        rounder(inst, y)
+
+
 def test_round_best_from_solver_fractional_vertex():
     inst = make_instance(["1/2", "1/2"], [[1, 1, 1], [1, 1, 1]])
     sol = solve_configuration_lp(inst, 0.1)
@@ -706,7 +727,7 @@ def test_round_combination_at_round_frac_scale(n, m):
     comb = decompose(groups, m, d)
     assert comb == round_combination(inst, y)
     assert len(comb.matchings) > 1
-    assert sum(comb.weights, F(0)) == 1
+    assert sum(comb_weights(comb), F(0)) == 1
     combination_marginals_exact(groups, d, comb)
     full_groups_always_matched(groups, d, comb)
     assert len(comb.matchings) <= comb.padded_edges

@@ -33,7 +33,6 @@ from .core import (
 from .configlp import (
     Column,
     ColumnSolution,
-    DualPoint,
     EllipsoidRun,
     ellipsoid_run,
     full_enumeration_lp,
@@ -59,7 +58,6 @@ __all__ = [
     "Column",
     "ColumnSolution",
     "DecompositionFailure",
-    "DualPoint",
     "EllipsoidRun",
     "EmptyAgent",
     "EmptyInstance",

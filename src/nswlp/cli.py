@@ -2,8 +2,9 @@
 
 Exit codes, assigned in :func:`main` alone: 0 success; 2 invalid input or
 guard violation (``InvalidInstance``, ``TooLarge``: a bad instance,
-allocation, ``--epsilon`` or ``gen`` argument, an empty ``bench`` directory,
-an ``exact`` instance over the brute-force guard); 3 no allocation with
+allocation, ``--epsilon`` or ``gen`` argument, an instance whose values leave
+the double range, an empty ``bench`` directory, an ``exact`` instance over
+the brute-force guard); 3 no allocation with
 positive welfare exists (``solve`` still writes its files); 4 numerical
 failure in the LP driver (``NumericalCollapse``).  Any other exception ends
 in a traceback.
@@ -48,14 +49,15 @@ EXIT_COLLAPSE = 4
 
 @contextlib.contextmanager
 def _input_file(path: str):
-    """Re-raise a read, JSON or format error as ``InvalidInstance`` naming ``path``."""
+    """Re-raise a read, JSON or format error, or values outside the double
+    range, as ``InvalidInstance`` naming ``path``."""
     try:
         yield
     except json.JSONDecodeError as exc:
         raise InvalidInstance(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except (InvalidInstance, OSError) as exc:
+    except (InvalidInstance, TooLarge, OSError) as exc:
         raise InvalidInstance(f"{path}: {exc}") from exc
 
 

@@ -80,15 +80,6 @@ class ColumnSolution:
 
 
 @dataclass(frozen=True)
-class DualPoint:
-    """Candidate dual: one alpha per item (meant nonnegative) and one beta
-    per agent."""
-
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class EllipsoidRun:
     """Trace of one feasibility run: objective guess, bundle constraints
     used as cuts, iteration count, and why the run stopped.
@@ -151,8 +142,6 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
     plans = []
     for i, agent in enumerate(instance.agents):
         ints, denom = int_row(agent.values)
-        if any(0 < x < denom for x in ints):
-            raise ValueError("instance must be scaled: values 0 or >= 1")
         pos = sorted((j for j in range(m) if ints[j] > 0), key=lambda j: (-ints[j], j))
         if not pos:
             plans.append(_AgentPlan(i, float(agent.weight), None, None, [], ints, denom))
@@ -294,21 +283,24 @@ def _oracle_query(
 
 
 def separation_oracle(
-    scaled: Instance, epsilon: float, dual: DualPoint
+    instance: Instance, epsilon: float, alpha: Sequence[float], beta: Sequence[float]
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Find (i, S') with sum(alpha[S']) + beta_i < w_i ln((1+eps/2) v_i(S')).
 
-    Guesses the agent and the top item value of a violating bundle, rounds
-    the remaining values down to multiples of eps*v*/(2m), and solves the
+    ``alpha`` holds one dual per item and ``beta`` one per agent.  Guesses
+    the agent and the top item value of a violating bundle, rounds the
+    remaining values down to multiples of eps*v*/(2m), and solves the
     min-cost cover problem for every reachable rounded total; every returned
-    pair is re-checked against the inequality before being reported.
-    Returns None when no guess produces a qualifying pair.  Raises
-    ValueError on a negative alpha, which lies outside the dual.
+    pair is re-checked against the inequality at the true values before
+    being reported.  The rounding unit is relative to the guessed top value,
+    so the values are taken as given: they need not be scaled.  Returns None
+    when no guess produces a qualifying pair.  Raises ValueError on wrong
+    dimensions or a negative alpha, which lies outside the dual.
     """
-    plans = _build_plans(scaled, epsilon)
-    alpha = np.asarray(dual.alpha, dtype=float)
-    beta = np.asarray(dual.beta, dtype=float)
-    if alpha.shape != (scaled.num_items,) or beta.shape != (scaled.num_agents,):
+    plans = _build_plans(instance, epsilon)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if alpha.shape != (instance.num_items,) or beta.shape != (instance.num_agents,):
         raise ValueError("dual point has wrong dimensions")
     if (alpha < 0).any():
         raise ValueError("dual point has a negative alpha")
@@ -337,7 +329,13 @@ def ellipsoid_run(
     volume drops below that of the termination cuboid (volume), or when the
     ellipsoid's support along a violated constraint's normal no longer
     reaches that constraint's feasible side (flat).
+
+    The starting box comes from the dual bound ln(m vmax^2), which holds
+    only when every value is 0 or >= 1, so ``scaled`` must already be
+    normalised (:func:`scale_values`); ValueError otherwise.
     """
+    if any(0 < v < 1 for a in scaled.agents for v in a.values):
+        raise ValueError("instance must be scaled: values 0 or >= 1")
     plans = _build_plans(scaled, epsilon)
     n, m = scaled.num_agents, scaled.num_items
     d = n + m
@@ -619,27 +617,28 @@ def _basis_vertex(
 
 
 def solve_restricted_primal(
-    scaled: Instance,
+    instance: Instance,
     columns: Iterable[tuple[int, Sequence[int]]],
     epsilon: float,
 ) -> ColumnSolution:
-    """Solve the configuration LP restricted to the given columns.
+    """Solve the configuration LP restricted to the given columns, exactly.
 
     The objective prices each bundle at w_i * ln((1+eps/2) v_i(S)), the
     values inflated the same way the oracle's cut constraints were; the
-    reported lp_value is recomputed without the inflation.  Every agent with
-    a positive item gets its best singleton added, so the per-agent mass
-    constraint is always satisfiable.
+    reported lp_value is recomputed without the inflation, in the value
+    space of ``instance``, whose values need not be scaled.  Every agent
+    with a positive item gets its best singleton added, so the per-agent
+    mass constraint is always satisfiable.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
-    cols = _augment_columns(scaled, columns)
+    cols = _augment_columns(instance, columns)
     if not cols:
         raise Infeasible("no columns: no agent values any item")
-    sol = solve_lp(_build_conf_lp(scaled, cols, math.log1p(epsilon / 2.0)))
+    sol = solve_lp(_build_conf_lp(instance, cols, math.log1p(epsilon / 2.0)))
     if sol.status != "optimal":
         raise Infeasible(f"restricted configuration LP is {sol.status}")
-    return _column_solution(scaled, cols, sol.values)
+    return _column_solution(instance, cols, sol.values)
 
 
 FULL_ENUM_MAX_ITEMS = 12
@@ -717,6 +716,10 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     # Headroom for the oracle's rounding; large epsilon gains nothing.
     eps_run = min(epsilon, 0.25)
     ln_slack = math.log1p(eps_run / 2.0)
+    # Private normalisation (smallest positive value 1 per agent).  No step
+    # below needs it to be correct: it only conditions the doubles (the
+    # HiGHS costs and the baseline's), and dropping it changes which of
+    # several optimal vertices some solves return.
     scaled = scale_values(instance)
     active = [i for i in range(instance.num_agents) if instance.agents[i].weight > 0]
     work = Instance(

@@ -37,7 +37,8 @@ class OverlappingBundles(ValueError):
 
 
 class TooLarge(ValueError):
-    """Input exceeds the guard of an exhaustive routine."""
+    """Input exceeds the guard of an exhaustive routine, or an agent's values
+    span more than the double range the solver prices them in."""
 
 
 class Infeasible(RuntimeError):
@@ -148,9 +149,25 @@ def validate(instance: Instance) -> None:
         for j, v in enumerate(agent.values):
             if v < 0:
                 raise NegativeValue(f"value of agent {idx} for item {j} is negative")
+        positive = [v for v in agent.values if v > 0]
+        if positive:
+            low, top = min(positive), sum(positive)
+            # The LP driver prices values divided by low, in doubles.
+            if not all(_positive_double(x) for x in (low, top, top / low)):
+                raise TooLarge(
+                    f"values of agent {idx} leave the double range: its smallest positive "
+                    "value, its total and their ratio must be positive finite doubles"
+                )
         total += agent.weight
     if total != 1:
         raise WeightSumError(f"weights sum to {total}, expected 1")
+
+
+def _positive_double(x: Fraction) -> bool:
+    try:
+        return 0.0 < float(x) < math.inf
+    except OverflowError:
+        return False
 
 
 def _check_owner(instance: Instance, alloc: Allocation) -> None:

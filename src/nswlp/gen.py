@@ -14,11 +14,14 @@ from .core import Instance, make_instance
 
 WEIGHT_DENOMINATOR = 2520  # lcm(1..10); keeps weight denominators small
 ZIPF_EXPONENT = 1.1
+_DIRICHLET_ATTEMPTS = 1000
 
 
 def random_weights(n: int, rng: random.Random, kind: str = "uniform") -> list[Fraction]:
     """n positive rationals summing to exactly 1."""
     d = WEIGHT_DENOMINATOR
+    if not 1 <= n <= d:
+        raise ValueError(f"positive weights on the 1/{d} lattice need 1 to {d} agents, not {n}")
     if kind == "uniform":
         # Uniform lattice point of the simplex interior via distinct cuts.
         while True:
@@ -27,13 +30,18 @@ def random_weights(n: int, rng: random.Random, kind: str = "uniform") -> list[Fr
             if all(p > 0 for p in parts):
                 return [Fraction(p, d) for p in parts]
     if kind == "dirichlet":
-        draws = [rng.gammavariate(1.0, 1.0) for _ in range(n)]
-        total = sum(draws)
-        parts = [max(1, round(x / total * d)) for x in draws]
-        parts[-1] = d - sum(parts[:-1])
-        if parts[-1] < 1:
-            return random_weights(n, rng, kind)
-        return [Fraction(p, d) for p in parts]
+        # Redraw until the last part stays positive; large n makes that rare.
+        for _ in range(_DIRICHLET_ATTEMPTS):
+            draws = [rng.gammavariate(1.0, 1.0) for _ in range(n)]
+            total = sum(draws)
+            parts = [max(1, round(x / total * d)) for x in draws]
+            parts[-1] = d - sum(parts[:-1])
+            if parts[-1] >= 1:
+                return [Fraction(p, d) for p in parts]
+        raise ValueError(
+            f"no dirichlet weights for {n} agents on the 1/{d} lattice "
+            f"in {_DIRICHLET_ATTEMPTS} draws"
+        )
     raise ValueError(f"unknown weight kind {kind!r}")
 
 

@@ -1,9 +1,12 @@
 """Exact reference solvers: brute force, positivity check, one-item baseline.
 
-These exist to certify the approximation pipeline at desk scale, not to
-scale themselves.  The positivity check is the package's own augmenting-path
-matching; the baseline's assignment solver is scipy's ``_lsap`` extension,
-loaded on its own so that ``scipy.optimize`` is never imported.
+Brute force and the positivity check certify the approximation pipeline
+at desk scale, not to scale themselves; the positivity check is the
+package's own augmenting-path matching.  The one-item baseline runs on every
+solve: it seeds the LP driver's column pool and decides whether any
+allocation has positive welfare, with the assignment solver's own
+feasibility test.  That solver is scipy's ``_lsap`` extension, loaded on its
+own so that ``scipy.optimize`` is never imported.
 """
 
 from __future__ import annotations
@@ -86,7 +89,10 @@ def positivity_check(instance: Instance) -> bool:
 def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:
     """Best one-item-per-agent assignment maximizing sum(w_i ln v_ij).
 
-    Only positive-weight agents are matched, on edges with v_ij > 0.  The
+    Only positive-weight agents are matched, on edges with v_ij > 0; the
+    other edges cost -inf, so the assignment solver's own feasibility test
+    raises exactly when no such matching exists, and that becomes
+    ``Infeasible``.  Values are taken as given, scaled or not.  The
     resulting log welfare b brackets the configuration LP optimum within an
     additive ln(m).
     """
@@ -94,24 +100,18 @@ def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:
     rows = [i for i in range(n) if instance.agents[i].weight > 0]
     if len(rows) > m:
         raise Infeasible("more positive-weight agents than items")
-    finite = [
-        abs(float(instance.agents[i].weight) * math.log(float(v)))
-        for i in rows
-        for v in instance.agents[i].values
-        if v > 0
-    ]
-    big = (max(finite, default=0.0) + 1.0) * (len(rows) + 1)
-    cost = np.full((len(rows), m), -big)
+    cost = np.full((len(rows), m), -math.inf)
     for r, i in enumerate(rows):
         w = float(instance.agents[i].weight)
         for j, v in enumerate(instance.agents[i].values):
             if v > 0:
                 cost[r, j] = w * math.log(float(v))
-    row_ind, col_ind = linear_sum_assignment(cost, maximize=True)
+    try:
+        row_ind, col_ind = linear_sum_assignment(cost, maximize=True)
+    except ValueError as exc:  # "cost matrix is infeasible"
+        raise Infeasible("no positive-value matching saturates all agents") from exc
     owner: list[int | None] = [None] * m
     for r, j in zip(row_ind, col_ind):
-        if cost[r, j] == -big:
-            raise Infeasible("no positive-value matching saturates all agents")
         owner[j] = rows[r]
     alloc = Allocation(owner=tuple(owner))
     return alloc, log_nsw(instance, alloc)

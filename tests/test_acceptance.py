@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from nswlp import (
-    DualPoint,
     brute_force_opt,
     build_groups,
     check_ef1,
@@ -140,9 +139,7 @@ def test_criterion_4_oracle_complete_and_sound():
                         break
                 if violated:
                     break
-            res = separation_oracle(
-                work, EPSILON, DualPoint(alpha=tuple(alpha), beta=tuple(beta))
-            )
+            res = separation_oracle(work, EPSILON, alpha, beta)
             if violated:
                 completeness_hits += 1
                 assert res is not None, (alpha, beta)

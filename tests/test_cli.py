@@ -56,6 +56,21 @@ def test_solve_single_agent(tmp_path):
     assert report["lp_ratio"] >= 1.0 - 1e-9
 
 
+def test_solve_timings_only_sets_runtime(tmp_path):
+    inst_path = tmp_path / "i.json"
+    assert main(["gen", "--agents", "3", "--items", "6", "--seed", "5", "-o", str(inst_path)]) == 0
+    reports = []
+    for flags in ([], ["--timings"]):
+        rep = tmp_path / f"r{len(flags)}.json"
+        args = ["solve", str(inst_path), "-o", str(tmp_path / "a.json"), "--report", str(rep)]
+        assert main(args + flags) == 0
+        reports.append(json.loads(rep.read_text()))
+    plain, timed = reports
+    assert plain["runtime_ms"] == 0
+    assert type(timed["runtime_ms"]) is int and timed["runtime_ms"] >= 0
+    assert {**timed, "runtime_ms": 0} == plain
+
+
 def test_solve_deterministic_outputs(tmp_path):
     inst_path = tmp_path / "i.json"
     assert main(["gen", "--agents", "3", "--items", "6", "--seed", "5", "-o", str(inst_path)]) == 0
@@ -188,6 +203,46 @@ def test_input_error_exit_code(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "agents, shown",
+    [
+        # No draw fits the lattice before the attempt cap.
+        ("600", "no dirichlet weights for 600 agents on the 1/2520 lattice in 1000 draws"),
+        ("3000", "positive weights on the 1/2520 lattice need 1 to 2520 agents, not 3000"),
+        ("0", "positive weights on the 1/2520 lattice need 1 to 2520 agents, not 0"),
+    ],
+)
+def test_gen_dirichlet_weights_off_the_lattice_exit_code(tmp_path, capsys, agents, shown):
+    out = tmp_path / "out"
+    args = ["gen", "--agents", agents, "--items", "3", "--weights", "dirichlet", "-o", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["1" + "0" * 400, "1"], ["1/1" + "0" * 400, "1"], ["1/1" + "0" * 200, "1" + "0" * 200]],
+    ids=["huge", "tiny", "wide"],
+)
+@pytest.mark.parametrize("command", ["solve", "exact", "bench"])
+def test_values_outside_the_double_range_exit_code(tmp_path, capsys, command, values):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    inst = d / "i.json"
+    inst.write_text(json.dumps({"num_items": 2, "agents": [{"weight": "1", "values": values}]}))
+    out = tmp_path / "out"
+    if command == "bench":
+        args = ["bench", str(d), "-o", str(out)]
+    else:
+        args = [command, str(inst), "-o", str(out), "--report", str(tmp_path / "r")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {inst}: values of agent 0 leave the double range")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
 
 @pytest.mark.parametrize(

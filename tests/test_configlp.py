@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from nswlp import (
-    DualPoint,
     NumericalCollapse,
     TooLarge,
     brute_force_opt,
@@ -111,7 +110,7 @@ def oracle_inequality_high_precision(instance, epsilon, alpha, beta, i, items):
 def test_oracle_zero_dual_finds_violation():
     inst = make_instance(["1"], [[4, 2]])
     work = scale_values(inst)
-    res = separation_oracle(work, 0.1, DualPoint(alpha=(0.0, 0.0), beta=(0.0,)))
+    res = separation_oracle(work, 0.1, (0.0, 0.0), (0.0,))
     assert res is not None
     i, items = res
     assert oracle_inequality_high_precision(work, 0.1, (0.0, 0.0), (0.0,), i, items)
@@ -122,9 +121,7 @@ def test_oracle_slack_dual_returns_none():
     work = scale_values(inst)
     vmax = 4.0
     big = math.log(3 * vmax * vmax)
-    res = separation_oracle(
-        work, 0.1, DualPoint(alpha=(big,) * 3, beta=(big,) * 2)
-    )
+    res = separation_oracle(work, 0.1, (big,) * 3, (big,) * 2)
     assert res is None
 
 
@@ -142,7 +139,7 @@ def test_oracle_complete_and_sound_on_random_duals():
             trials += 1
             alpha = tuple(rng.uniform(0, hi) for _ in range(m))
             beta = tuple(rng.uniform(-hi, hi) for _ in range(n))
-            res = separation_oracle(work, 0.1, DualPoint(alpha=alpha, beta=beta))
+            res = separation_oracle(work, 0.1, alpha, beta)
             violated = exhaustive_dual_violation(work, alpha, beta)
             if violated is not None:
                 assert res is not None, (alpha, beta, violated)
@@ -153,6 +150,42 @@ def test_oracle_complete_and_sound_on_random_duals():
                     work, 0.1, alpha, beta, i, items
                 )
     assert found > 50  # the sample exercises both branches
+
+
+def test_oracle_complete_and_sound_on_raw_values():
+    # Fractional values below and above 1, never scaled: the rounding unit is
+    # relative to each guessed top value, so the oracle takes them as given.
+    rng = random.Random(272)
+    found = 0
+    for _ in range(150):
+        n, m = rng.randint(1, 3), rng.randint(2, 8)
+        values = [
+            [Fraction(rng.randint(0, 50), rng.randint(1, 60)) for _ in range(m)]
+            for _ in range(n)
+        ]
+        inst = make_instance([Fraction(1, n)] * n, values)
+        logs = [abs(math.log(v)) for row in values for v in row if v > 0]
+        hi = math.log(m) + 2 * max(logs, default=0.0) + 0.5
+        for _ in range(10):
+            alpha = tuple(rng.uniform(0, hi) for _ in range(m))
+            beta = tuple(rng.uniform(-hi, hi) for _ in range(n))
+            res = separation_oracle(inst, 0.1, alpha, beta)
+            violated = exhaustive_dual_violation(inst, alpha, beta)
+            if violated is not None:
+                assert res is not None, (values, alpha, beta, violated)
+            if res is not None:
+                found += 1
+                i, items = res
+                assert oracle_inequality_high_precision(inst, 0.1, alpha, beta, i, items)
+    assert found > 500
+
+
+def test_oracle_rejects_wrong_dimensions():
+    inst = make_instance(["1"], [[4, 2]])
+    with pytest.raises(ValueError, match="wrong dimensions"):
+        separation_oracle(inst, 0.1, (0.5,), (0.0,))
+    with pytest.raises(ValueError, match="wrong dimensions"):
+        separation_oracle(inst, 0.1, (0.5, 0.5), (0.0, 0.0))
 
 
 def test_plans_on_ints_match_fraction_arithmetic():
@@ -220,14 +253,14 @@ def test_oracle_early_exit_matches_every_guess_sweep():
 def test_oracle_rejects_negative_alpha():
     work = scale_values(make_instance(["1"], [[4, 2]]))
     with pytest.raises(ValueError, match="negative alpha"):
-        separation_oracle(work, 0.1, DualPoint(alpha=(0.5, -0.1), beta=(0.0,)))
+        separation_oracle(work, 0.1, (0.5, -0.1), (0.0,))
 
 
 def test_oracle_handles_zero_weight_agent():
     inst = make_instance(["1", "0"], [[2, 1], [1, 1]])
     work = scale_values(inst)
     # negative beta for the zero-weight agent violates its constraints
-    res = separation_oracle(work, 0.5, DualPoint(alpha=(0.5, 0.5), beta=(5.0, -2.0)))
+    res = separation_oracle(work, 0.5, (0.5, 0.5), (5.0, -2.0))
     assert res is not None
     i, items = res
     assert i == 1
@@ -651,12 +684,12 @@ def _exact_solves_sabotaged(monkeypatch, calls_to_spoil):
             return real_primal(work, singletons(cols), 0.1)
         return real_vertex(work, cols, basic, tight)
 
-    def spoiled_primal(scaled, columns, epsilon):
+    def spoiled_primal(instance, columns, epsilon):
         columns = list(columns)
         sizes.append(len(columns))
         if len(sizes) <= calls_to_spoil:
             columns = singletons(columns)
-        return real_primal(scaled, columns, epsilon)
+        return real_primal(instance, columns, epsilon)
 
     monkeypatch.setattr(configlp, "_basis_vertex", spoiled_vertex)
     monkeypatch.setattr(configlp, "solve_restricted_primal", spoiled_primal)

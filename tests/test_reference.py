@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -17,6 +19,7 @@ from nswlp import (
     positivity_check,
 )
 from nswlp.gen import random_solvable_instance
+from nswlp.reference import linear_sum_assignment
 
 
 def test_brute_force_single_agent_takes_everything():
@@ -131,6 +134,66 @@ def test_baseline_infeasible_when_positivity_fails():
     inst = make_instance(["1/2", "1/2"], [[1], [1]])
     with pytest.raises(Infeasible):
         assignment_baseline(inst)
+
+
+def test_assignment_solver_rejects_infeasible_minus_inf_matrix():
+    # assignment_baseline forbids zero-value edges with -inf and relies on
+    # the solver's own feasibility test under maximize=True.
+    with pytest.raises(ValueError, match="infeasible"):
+        linear_sum_assignment(np.array([[1.0, -np.inf], [2.0, -np.inf]]), maximize=True)
+    rows, cols = linear_sum_assignment(np.array([[-np.inf, 1.0], [2.0, -np.inf]]), maximize=True)
+    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+
+
+def _chain(n, t, big):
+    """Agent 0 values item 0 at t; agent k values item k-1 at big and item k
+    at t.  The diagonal is the only positive-value assignment."""
+    values = [[Fraction(0)] * n for _ in range(n)]
+    values[0][0] = t
+    for k in range(1, n):
+        values[k][k - 1], values[k][k] = big, t
+    return make_instance([Fraction(1, n)] * n, values)
+
+
+def test_baseline_feasible_on_unscaled_chain():
+    inst = _chain(3, Fraction(1, 3300000), Fraction(3300000))
+    assert positivity_check(inst)
+    alloc, lw = assignment_baseline(inst)
+    assert alloc.owner == (0, 1, 2)
+    assert lw == pytest.approx(math.log(1 / 3300000))
+    assert brute_force_opt(inst)[0].owner == (0, 1, 2)
+
+
+_POWERS = st.integers(-12, 12).map(lambda e: Fraction(10) ** e)
+
+
+@st.composite
+def raw_instances(draw):
+    """Unscaled instances: chains, or sparse rows of values 10^-12..10^12
+    with some zero weights."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        return _chain(n, 1 / draw(_POWERS.filter(lambda v: v > 1)),
+                      draw(_POWERS.filter(lambda v: v > 1)))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), _POWERS)
+    values = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    return make_instance([Fraction(w, sum(weights)) for w in weights], values)
+
+
+@given(raw_instances())
+def test_baseline_infeasible_iff_positivity_fails_on_raw_values(inst):
+    if not positivity_check(inst):
+        with pytest.raises(Infeasible):
+            assignment_baseline(inst)
+        return
+    alloc, lw = assignment_baseline(inst)
+    for i, agent in enumerate(inst.agents):
+        bundle = [j for j, owner in enumerate(alloc.owner) if owner == i]
+        assert len(bundle) == (agent.weight > 0)
+        assert all(agent.values[j] > 0 for j in bundle)
+    assert math.isfinite(lw)
 
 
 def test_baseline_brackets_lp_and_optimum():

@@ -2,9 +2,10 @@
 
 Exit codes, assigned in :func:`main` alone: 0 success; 2 invalid input or
 guard violation (``InvalidInstance``, ``TooLarge``: a bad instance,
-allocation, ``--epsilon`` or ``gen`` argument, an instance whose values leave
-the double range, an empty ``bench`` directory, an ``exact`` instance over
-the brute-force guard); 3 no allocation with
+allocation, ``--epsilon``, ``--jobs`` or ``gen`` argument, a ``gen``
+instance that would not validate, an instance whose values leave the double
+range, an empty ``bench`` directory, an ``exact`` instance over the
+brute-force guard); 3 no allocation with
 positive welfare exists (``solve`` still writes its files); 4 numerical
 failure in the LP driver (``NumericalCollapse``).  Any other exception ends
 in a traceback.
@@ -19,6 +20,7 @@ import functools
 import io
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -213,6 +215,7 @@ def cmd_gen(args) -> int:
         )
     except ValueError as exc:
         raise InvalidInstance(str(exc)) from exc
+    validate(inst)  # e.g. --items 0: write nothing that solve would reject
     _write(args.output, jsonio.dumps(jsonio.instance_to_obj(inst)))
     return EXIT_OK
 
@@ -240,18 +243,35 @@ def _bench_one(task):
     return row
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    reports no affinity)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def cmd_bench(args) -> int:
+    """Solve every ``*.json`` in the directory into one CSV.
+
+    ``--jobs`` caps the worker processes; no more are started than there
+    are files or usable CPUs, and one worker runs in this process.
+    """
     import concurrent.futures
     import glob
-    import os
 
+    if args.jobs < 1:
+        raise InvalidInstance(f"--jobs must be at least 1, got {args.jobs}")
     _check_epsilon(args.epsilon)
     paths = sorted(glob.glob(os.path.join(args.directory, "*.json")))
     if not paths:
         raise InvalidInstance(f"no instance files in {args.directory}")
     tasks = [(p, args.epsilon) for p in paths]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at once, whatever the work.
+    workers = min(args.jobs, len(paths), _usable_cpus())
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(t) for t in tasks]
@@ -311,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="solve every instance in a directory, emit CSV")
     pb.add_argument("directory")
     pb.add_argument("--epsilon", type=float, default=0.1)
-    pb.add_argument("--jobs", type=int, default=1)
+    pb.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (at least 1; no more than files or usable CPUs)")
     pb.add_argument("-o", "--output", default=None)
     pb.set_defaults(func=cmd_bench)
     return p

@@ -36,7 +36,6 @@ from .core import (
     Instance,
     NumericalCollapse,
     TooLarge,
-    int_row,
     scale_values,
     validate,
 )
@@ -141,7 +140,7 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
     num = 2 * m * eps_frac.denominator
     plans = []
     for i, agent in enumerate(instance.agents):
-        ints, denom = int_row(agent.values)
+        ints, denom = agent.int_values
         pos = sorted((j for j in range(m) if ints[j] > 0), key=lambda j: (-ints[j], j))
         if not pos:
             plans.append(_AgentPlan(i, float(agent.weight), None, None, [], ints, denom))
@@ -394,11 +393,8 @@ def ellipsoid_run(
             for j in items:
                 g[j] = -1.0
             g[m + i] = -1.0
-            value = sum(
-                (scaled.agents[i].values[j] for j in items), Fraction(0)
-            )
             rhs = float(scaled.agents[i].weight) * (
-                ln_slack + math.log(float(value))
+                ln_slack + math.log(float(scaled.bundle_value(i, items)))
             )
             margin = rhs - (float(alpha[list(items)].sum()) + float(beta[i]))
         u = L.T @ g
@@ -496,14 +492,10 @@ def _augment_columns(
             raise ValueError("zero-value column")
         pool.setdefault(key)
     for i, agent in enumerate(instance.agents):
-        best_j = None
-        best_v = _ZERO
-        for j, v in enumerate(agent.values):
-            if v > best_v:
-                best_v = v
-                best_j = j
-        if best_j is not None:
-            pool.setdefault((i, (best_j,)))
+        ints = agent.int_values[0]
+        top = max(ints, default=0)
+        if top > 0:
+            pool.setdefault((i, (ints.index(top),)))
     return sorted(pool)
 
 
@@ -658,10 +650,11 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
         agent = instance.agents[i]
         if agent.weight == 0:
             continue
-        sums = [_ZERO] * (1 << m)
+        ints = agent.int_values[0]
+        sums = [0] * (1 << m)
         for mask in range(1, 1 << m):
             low = mask & (-mask)
-            sums[mask] = sums[mask ^ low] + agent.values[low.bit_length() - 1]
+            sums[mask] = sums[mask ^ low] + ints[low.bit_length() - 1]
             if sums[mask] > 0:
                 cols.append(
                     (i, tuple(j for j in range(m) if mask >> j & 1))

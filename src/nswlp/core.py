@@ -2,7 +2,9 @@
 
 An instance holds n agents with weights summing to one and per-item
 nonnegative values; all numeric data is kept as exact rationals so that the
-LP and rounding stages can work without tolerances.  Only logarithms are
+LP and rounding stages can work without tolerances.  Each agent also keeps
+its values as ints over one denominator (:attr:`Agent.int_values`, computed
+once), and every exact bundle sum adds those ints.  Only logarithms are
 evaluated in double precision.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Collection, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, float, Fraction]
@@ -84,6 +87,14 @@ class Agent:
     weight: Fraction
     values: tuple[Fraction, ...]
 
+    @cached_property
+    def int_values(self) -> tuple[tuple[int, ...], int]:
+        """(ints, d): the values as ints over d, the lcm of their
+        denominators, so value j is exactly ints[j] / d (:func:`int_row`).
+        Computed on first access and kept; the frozen dataclass makes it
+        read-only."""
+        return int_row(self.values)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -102,9 +113,9 @@ class Instance:
         return len(self.agents)
 
     def bundle_value(self, i: int, items: Iterable[int]) -> Fraction:
-        """Additive value of a bundle for agent i."""
-        vals = self.agents[i].values
-        return sum((vals[j] for j in items), Fraction(0))
+        """Additive value of a bundle for agent i, summed exactly as ints."""
+        ints, d = self.agents[i].int_values
+        return Fraction(sum(ints[j] for j in items), d)
 
 
 @dataclass(frozen=True)
@@ -149,11 +160,12 @@ def validate(instance: Instance) -> None:
         for j, v in enumerate(agent.values):
             if v < 0:
                 raise NegativeValue(f"value of agent {idx} for item {j} is negative")
-        positive = [v for v in agent.values if v > 0]
+        ints, d = agent.int_values
+        positive = [k for k in ints if k > 0]
         if positive:
             low, top = min(positive), sum(positive)
             # The LP driver prices values divided by low, in doubles.
-            if not all(_positive_double(x) for x in (low, top, top / low)):
+            if not all(_positive_double(a, b) for a, b in ((low, d), (top, d), (top, low))):
                 raise TooLarge(
                     f"values of agent {idx} leave the double range: its smallest positive "
                     "value, its total and their ratio must be positive finite doubles"
@@ -163,9 +175,10 @@ def validate(instance: Instance) -> None:
         raise WeightSumError(f"weights sum to {total}, expected 1")
 
 
-def _positive_double(x: Fraction) -> bool:
+def _positive_double(a: int, b: int) -> bool:
+    """Whether the int quotient a / b is a positive finite double."""
     try:
-        return 0.0 < float(x) < math.inf
+        return 0.0 < a / b < math.inf
     except OverflowError:
         return False
 
@@ -183,19 +196,23 @@ def log_nsw(instance: Instance, alloc: Allocation) -> float:
 
     Agents with zero weight contribute nothing regardless of bundle; a
     positive-weight agent with a worthless bundle makes the result -inf.
+    Bundle sums are exact ints over each agent's denominator d
+    (:attr:`Agent.int_values`); int true division rounds correctly, as
+    ``float`` of a ``Fraction`` does, so ln(s / d) is the log of the nearest
+    double to the exact sum.  The terms are added from 0.0 in agent order.
     """
     _check_owner(instance, alloc)
-    sums = [Fraction(0)] * instance.num_agents
+    sums = [0] * instance.num_agents
     for j, i in enumerate(alloc.owner):
         if i is not None:
-            sums[i] += instance.agents[i].values[j]
+            sums[i] += instance.agents[i].int_values[0][j]
     total = 0.0
-    for i, agent in enumerate(instance.agents):
+    for agent, s in zip(instance.agents, sums):
         if agent.weight == 0:
             continue
-        if sums[i] == 0:
+        if s == 0:
             return -math.inf
-        total += float(agent.weight) * math.log(float(sums[i]))
+        total += float(agent.weight) * math.log(s / agent.int_values[1])
     return total
 
 
@@ -227,11 +244,11 @@ def scale_values(instance: Instance) -> Instance:
     return Instance(num_items=instance.num_items, agents=tuple(new_agents))
 
 
-def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def int_row(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """(ints, d): a row of ``Fraction``s as ints over d, the lcm of their
     denominators, so value k is exactly ints[k] / d."""
     d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 def check_ef1(

@@ -2,11 +2,14 @@
 
 Brute force and the positivity check certify the approximation pipeline
 at desk scale, not to scale themselves; the positivity check is the
-package's own augmenting-path matching.  The one-item baseline runs on every
-solve: it seeds the LP driver's column pool and decides whether any
-allocation has positive welfare, with the assignment solver's own
-feasibility test.  That solver is scipy's ``_lsap`` extension, loaded on its
-own so that ``scipy.optimize`` is never imported.
+package's own augmenting-path matching.  Brute force scores every
+assignment as :func:`~nswlp.core.log_nsw` does, from each agent's exact int
+row, so the optimum it returns is the ``log_nsw`` of its allocation.  The
+one-item baseline runs on every solve: it seeds the LP driver's column pool
+and decides whether any allocation has positive welfare, with the
+assignment solver's own feasibility test.  That solver is scipy's ``_lsap``
+extension, loaded on its own so that ``scipy.optimize`` is never imported.
+Both solvers :func:`~nswlp.core.validate` their instance first.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import _scipy_ext
-from .core import Allocation, Infeasible, Instance, TooLarge, _augment, log_nsw
+from .core import Allocation, Infeasible, Instance, TooLarge, _augment, log_nsw, validate
 
 linear_sum_assignment = _scipy_ext.load("_lsap").linear_sum_assignment
 
@@ -28,28 +31,33 @@ def brute_force_opt(instance: Instance) -> tuple[Allocation, float]:
     """Exhaustive optimum over all n^m total assignments.
 
     Leaving items unassigned is never better (values are nonnegative), so
-    total assignments suffice.  Guarded by n^m <= 1e7.
+    total assignments suffice.  Each assignment is scored with
+    :func:`~nswlp.core.log_nsw`'s arithmetic: exact int bundle sums over
+    each agent's denominator, so the returned value equals ``log_nsw`` of
+    the returned allocation.  Raises what :func:`~nswlp.core.validate`
+    raises on an invalid instance, and ``TooLarge`` when n^m > 1e7.
     """
+    validate(instance)
     n, m = instance.num_agents, instance.num_items
     if n**m > BRUTE_FORCE_GUARD:
         raise TooLarge(f"{n}^{m} assignments exceed the brute-force guard")
-    vals = [[float(v) for v in a.values] for a in instance.agents]
-    weights = [float(a.weight) for a in instance.agents]
-    positive = [w > 0 for w in weights]
+    ints = [a.int_values[0] for a in instance.agents]
+    # (agent, w, d) of each positive-weight agent: the others add no term.
+    terms = [(i, float(a.weight), a.int_values[1]) for i, a in enumerate(instance.agents)
+             if a.weight > 0]
     best_lw = -math.inf
     best: tuple[int, ...] | None = None
     for assign in product(range(n), repeat=m):
-        sums = [0.0] * n
+        sums = [0] * n
         for j, i in enumerate(assign):
-            sums[i] += vals[i][j]
+            sums[i] += ints[i][j]
         lw = 0.0
-        for i in range(n):
-            if not positive[i]:
-                continue
-            if sums[i] == 0.0:
+        for i, w, d in terms:
+            s = sums[i]
+            if s == 0:
                 lw = -math.inf
                 break
-            lw += weights[i] * math.log(sums[i])
+            lw += w * math.log(s / d)
         if best is None or lw > best_lw:
             best_lw = lw
             best = assign
@@ -92,10 +100,11 @@ def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:
     Only positive-weight agents are matched, on edges with v_ij > 0; the
     other edges cost -inf, so the assignment solver's own feasibility test
     raises exactly when no such matching exists, and that becomes
-    ``Infeasible``.  Values are taken as given, scaled or not.  The
-    resulting log welfare b brackets the configuration LP optimum within an
-    additive ln(m).
+    ``Infeasible``.  Values are taken as given, scaled or not; an instance
+    :func:`~nswlp.core.validate` rejects raises its error.  The resulting log
+    welfare b brackets the configuration LP optimum within an additive ln(m).
     """
+    validate(instance)
     n, m = instance.num_agents, instance.num_items
     rows = [i for i in range(n) if instance.agents[i].weight > 0]
     if len(rows) > m:

@@ -14,8 +14,8 @@ discovers next to a free column.  The combination is stored as per-step
 diffs: each extraction records only the groups whose item changed, with
 their old and new items, and its int step over D.  The selection scores
 the matchings straight from the diffs and replays them only up to the
-winner.  Each agent's values are turned into one int row per call of
-:func:`round_best`, shared by the slicing and the selection.  Groups of
+winner.  The slicing and the selection read each agent's values as the
+int row the agent keeps (:attr:`~nswlp.core.Agent.int_values`).  Groups of
 full mass are matched in every extracted matching, which is what makes the
 per-agent bundles envy-free up to one item across the combination.
 """
@@ -46,12 +46,6 @@ GroupSet = dict[int, list[Group]]
 Marginals = list[list[int]]  # x[i][j] = fraction of item j held by agent i, times D
 Matching = dict[GroupKey, int]  # (agent, group index) -> item
 Change = tuple[GroupKey, Optional[int], Optional[int]]  # (group, old item, new item)
-Rows = list[tuple[list[int], int]]  # per agent, its values as ints over d, and d
-
-
-def int_rows(instance: Instance) -> Rows:
-    """Each agent's values as ints over their common denominator."""
-    return [int_row(agent.values) for agent in instance.agents]
 
 
 def _replay(matching: Matching, diff: tuple[Change, ...]) -> None:
@@ -119,18 +113,13 @@ def marginals(y: ColumnSolution, n: int, m: int) -> tuple[Marginals, int]:
     return x, denom
 
 
-def item_order(instance: Instance, i: int, rows: Optional[Rows] = None) -> list[int]:
-    """Items sorted by non-increasing v_ij, ties by smaller index.
-
-    ``rows``, when given, holds :func:`int_rows` of ``instance``.
-    """
-    vals = rows[i][0] if rows is not None else int_row(instance.agents[i].values)[0]
+def item_order(instance: Instance, i: int) -> list[int]:
+    """Items sorted by non-increasing v_ij, ties by smaller index."""
+    vals = instance.agents[i].int_values[0]
     return sorted(range(instance.num_items), key=vals.__getitem__, reverse=True)
 
 
-def build_groups(
-    instance: Instance, x: Marginals, i: int, denom: int, rows: Optional[Rows] = None
-) -> list[Group]:
+def build_groups(instance: Instance, x: Marginals, i: int, denom: int) -> list[Group]:
     """Slice agent i's fractional items into unit-mass groups.
 
     ``x`` holds the marginals as ints over ``denom``, so a unit of mass is
@@ -145,7 +134,7 @@ def build_groups(
     groups: list[Group] = []
     current: Group = {}
     room = denom
-    for j in item_order(instance, i, rows):
+    for j in item_order(instance, i):
         rest = row[j]
         while rest > 0:
             # room > 0 here, and a group is closed before j could reappear.
@@ -354,14 +343,11 @@ def allocation_from_matching(matching: Matching, num_items: int) -> Allocation:
     return Allocation(owner=tuple(owner))
 
 
-def round_combination(
-    instance: Instance, y: ColumnSolution, rows: Optional[Rows] = None
-) -> MatchingCombination:
+def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombination:
     """Groups plus decomposition for a feasible column solution.
 
-    ``rows``, when given, holds :func:`int_rows` of ``instance``.  Raises
-    ``ValueError`` when a column has negative mass, an agent or item index
-    out of range, or a repeated item.
+    Raises ``ValueError`` when a column has negative mass, an agent or item
+    index out of range, or a repeated item.
     """
     n, m = instance.num_agents, instance.num_items
     for k, (col, mass) in enumerate(zip(y.columns, y.mass)):
@@ -376,15 +362,11 @@ def round_combination(
             continue
         raise ValueError(f"column {k} (agent {col.agent}, items {items}) has {why}")
     x, denom = marginals(y, n, m)
-    groups: GroupSet = {
-        i: build_groups(instance, x, i, denom, rows) for i in range(n) if any(x[i])
-    }
+    groups: GroupSet = {i: build_groups(instance, x, i, denom) for i in range(n) if any(x[i])}
     return decompose(groups, m, denom)
 
 
-def best_allocation(
-    instance: Instance, comb: MatchingCombination, rows: Optional[Rows] = None
-) -> Allocation:
+def best_allocation(instance: Instance, comb: MatchingCombination) -> Allocation:
     """Allocation of the first matching with the highest log welfare.
 
     The matchings are scored in order, incrementally, straight from
@@ -392,22 +374,19 @@ def best_allocation(
     their old and new items, so only their agents' bundle sums and log
     terms are updated, and only the winner is replayed and turned into an
     :class:`Allocation`.  Each score equals the one :func:`log_nsw`
-    computes: bundle sums are exact ints over each agent's common value
-    denominator (``rows``, :func:`int_rows` of ``instance``, computed here
-    when not given), int true division rounds correctly, as ``float`` of a
-    ``Fraction`` does, and the terms are added from 0.0 in agent order.  A
-    matching that gives one item twice raises ``ValueError``.
+    computes: both sum each bundle exactly as ints over the agent's
+    denominator (:attr:`~nswlp.core.Agent.int_values`), take the log of the
+    correctly rounded quotient, and add the terms from 0.0 in agent order.
+    A matching that gives one item twice raises ``ValueError``.
     """
-    if rows is None:
-        rows = int_rows(instance)
-    ints = [row for row, _ in rows]
+    ints = [agent.int_values[0] for agent in instance.agents]
     params: list[Optional[tuple[float, int]]] = []  # (w, d) if w > 0
     # A zero-weight agent's term stays 0.0, and adding 0.0 leaves a float
     # sum unchanged, so every score still equals log_nsw's.
     terms: list[float] = []
-    for agent, (_, d) in zip(instance.agents, rows):
+    for agent in instance.agents:
         if agent.weight != 0:
-            params.append((float(agent.weight), d))
+            params.append((float(agent.weight), agent.int_values[1]))
             terms.append(-math.inf)
         else:
             params.append(None)
@@ -445,8 +424,6 @@ def round_best(instance: Instance, y: ColumnSolution) -> Allocation:
     """Best allocation among the matchings of the convex combination.
 
     The weighted average of the matchings' log welfare already sits within
-    1/e of the LP objective, so the argmax does too.  Each agent's int row
-    is computed once here and shared by the slicing and the selection.
+    1/e of the LP objective, so the argmax does too.
     """
-    rows = int_rows(instance)
-    return best_allocation(instance, round_combination(instance, y, rows), rows)
+    return best_allocation(instance, round_combination(instance, y))

@@ -184,7 +184,9 @@ def test_solve_pipeline_rejects_epsilon_out_of_range(monkeypatch, epsilon):
         solve_pipeline(inst, epsilon)
 
 
-@pytest.mark.parametrize("command", ["verify", "gen", "bench"])
+@pytest.mark.parametrize(
+    "command", ["verify", "gen", "gen-no-items", "gen-negative-items", "bench", "bench-jobs"]
+)
 def test_input_error_exit_code(tmp_path, capsys, command):
     d = tmp_path / "corpus"
     d.mkdir()
@@ -195,8 +197,16 @@ def test_input_error_exit_code(tmp_path, capsys, command):
         args, shown = ["verify", str(d / "i.json"), str(tmp_path / "a.json")], "allocation length"
     elif command == "gen":
         args, shown = ["gen", "--agents", "2", "--items", "3", "--vmax", "-1"], ""
-    else:
+    elif command.startswith("gen-"):
+        # An instance solve would reject is not written.
+        items = "0" if command == "gen-no-items" else "-2"
+        args, shown = ["gen", "--agents", "2", "--items", items], "instance has no items"
+    elif command == "bench":
         args, shown = ["bench", str(d)], f"no instance files in {d}"
+    else:
+        # Rejected before the directory, which does not exist, is read.
+        args = ["bench", str(tmp_path / "missing"), "--jobs", "0"]
+        shown = "--jobs must be at least 1, got 0"
     assert main([*args, "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {shown}")
@@ -394,19 +404,83 @@ def test_bench_csv(tmp_path):
         assert float(cells[1]) > 0
 
 
-def test_bench_parallel_matches_serial(tmp_path):
+def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
     d = tmp_path / "corpus"
     d.mkdir()
     for seed in range(4):
         main(["gen", "--agents", "2", "--items", "4", "--seed", str(seed), "-o", str(d / f"i{seed}.json")])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["bench", str(d), "-o", str(a)]) == 0
+    # Two usable CPUs, so --jobs 2 starts a real two-process pool anywhere.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert main(["bench", str(d), "--jobs", "2", "-o", str(b)]) == 0
 
     def strip_runtime(text):
         return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
 
     assert strip_runtime(a.read_text()) == strip_runtime(b.read_text())
+
+
+@pytest.mark.parametrize(
+    "jobs, files, cpus, workers",
+    [
+        (8, 3, 4, 3),  # no more workers than files
+        (8, 5, 4, 4),  # nor than usable CPUs
+        (2, 3, 4, 2),
+        (8, 1, 4, None),  # one file runs in this process
+        (4, 3, 1, None),  # so does one CPU
+        (1, 3, 4, None),
+    ],
+)
+def test_bench_jobs_caps_the_pool(tmp_path, monkeypatch, jobs, files, cpus, workers):
+    import concurrent.futures
+    import os
+
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for seed in range(files):
+        main(["gen", "--agents", "2", "--items", "4", "--seed", str(seed), "-o", str(d / f"i{seed}.json")])
+    started: list[int] = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    out = tmp_path / "b.csv"
+    assert main(["bench", str(d), "--jobs", str(jobs), "-o", str(out)]) == 0
+    assert started == ([] if workers is None else [workers])
+    assert len(out.read_text().strip().splitlines()) == files + 1
+
+
+def test_exact_optimum_verifies_at_ratio_one(tmp_path):
+    # Float sums put this optimum's welfare one ulp below log_nsw's, so
+    # verify and bench once reported ratios just under 1.
+    d = tmp_path / "corpus"
+    d.mkdir()
+    inst = d / "i.json"
+    write_instance(inst, ["1"], [["8/3", "2/7"]])
+    opt, report = tmp_path / "opt.json", tmp_path / "v.json"
+    assert main(["exact", str(inst), "-o", str(opt), "--report", str(tmp_path / "r.json")]) == 0
+    assert main(["verify", str(inst), str(opt), "-o", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert out["opt_nsw"] == out["nsw"]
+    assert out["ratio"] == 1.0
+    csv_path = tmp_path / "b.csv"
+    assert main(["bench", str(d), "-o", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines()[1].split(",")[4] == "1.0"
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -165,6 +166,56 @@ def test_ef1_matches_quantifier_oracle():
         assign = [rng.randrange(k + 1) for _ in range(m)]  # k+1 = leave out
         bundles = [[j for j in range(m) if assign[j] == b] for b in range(k)]
         assert check_ef1(values, bundles) == ef1_by_quantifiers(values, bundles)
+
+
+@st.composite
+def wide_instances(draw):
+    """Values k/q * 10^e with e in -12..12 and mixed denominators q, and an
+    allocation that may leave items out."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    entry = st.builds(
+        lambda k, q, e: Fraction(k, q) * Fraction(10) ** e,
+        st.integers(0, 30), st.sampled_from([1, 3, 7, 10, 11, 13]), st.integers(-12, 12),
+    )
+    values = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    inst = make_instance([Fraction(w, sum(weights)) for w in weights], values)
+    owner = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)), min_size=m, max_size=m))
+    return inst, Allocation(tuple(owner))
+
+
+def _fraction_log_nsw(inst, alloc):
+    """log_nsw's formula on Fraction bundle sums."""
+    sums = [Fraction(0)] * inst.num_agents
+    for j, i in enumerate(alloc.owner):
+        if i is not None:
+            sums[i] += inst.agents[i].values[j]
+    total = 0.0
+    for agent, s in zip(inst.agents, sums):
+        if agent.weight == 0:
+            continue
+        if s == 0:
+            return -math.inf
+        total += float(agent.weight) * math.log(float(s))
+    return total
+
+
+@given(wide_instances())
+def test_int_values_are_the_values_exactly(case):
+    inst, alloc = case
+    for i, agent in enumerate(inst.agents):
+        ints, d = agent.int_values
+        assert [Fraction(k, d) for k in ints] == list(agent.values)
+        bundle = [j for j, owner in enumerate(alloc.owner) if owner == i]
+        assert inst.bundle_value(i, bundle) == sum((agent.values[j] for j in bundle), Fraction(0))
+    assert log_nsw(inst, alloc) == _fraction_log_nsw(inst, alloc)
+
+
+def test_int_values_are_read_only():
+    agent = make_instance(["1"], [["1/2", "2/3"]]).agents[0]
+    assert agent.int_values == ((3, 4), 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        agent.int_values = ((1, 1), 1)
 
 
 # -- JSON ------------------------------------------------------------------

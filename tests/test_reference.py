@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -15,6 +15,7 @@ from nswlp import (
     assignment_baseline,
     brute_force_opt,
     full_enumeration_lp,
+    log_nsw,
     make_instance,
     positivity_check,
 )
@@ -48,6 +49,32 @@ def test_brute_force_guard():
     )
     with pytest.raises(TooLarge):
         brute_force_opt(inst)
+
+
+@pytest.mark.parametrize("solver", [brute_force_opt, assignment_baseline])
+@pytest.mark.parametrize("value", [Fraction(10) ** 400, Fraction(1, 10**400)], ids=["huge", "tiny"])
+def test_reference_solvers_reject_values_outside_the_double_range(solver, value):
+    inst = make_instance(["1/2", "1/2"], [[1, 1], [value, 1]])
+    with pytest.raises(TooLarge, match="values of agent 1 leave the double range"):
+        solver(inst)
+
+
+@st.composite
+def rational_instances(draw):
+    """n 1-3, m from n to 6, values k/q with k <= 30 and q in {3, 7, 10, 11, 13}."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 6))
+    entry = st.builds(Fraction, st.integers(0, 30), st.sampled_from([3, 7, 10, 11, 13]))
+    values = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return make_instance([Fraction(w, sum(weights)) for w in weights], values)
+
+
+@given(rational_instances())
+@example(make_instance(["1"], [["8/3", "2/7"]]))
+def test_brute_force_value_is_log_nsw_of_its_allocation(inst):
+    alloc, lw = brute_force_opt(inst)
+    assert lw == log_nsw(inst, alloc)
 
 
 def test_positivity_one_contested_item():

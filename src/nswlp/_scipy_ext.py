@@ -6,6 +6,13 @@ second, while the solver needs two extension modules: the HiGHS binding
 executes only the named module from scipy's directory and registers it in
 ``sys.modules`` under its canonical name, so a later ``import scipy.optimize``
 reuses the same module object; one imported before is returned as it is.
+
+The module is registered only in ``sys.modules``: no attribute is set on its
+parent package, and a later ``import scipy.optimize`` does not set one
+either, because it finds the module already loaded.  So
+``scipy.optimize._lsap`` is then no attribute of ``scipy.optimize``, while
+``import scipy.optimize._lsap as m`` and ``from scipy.optimize import
+linear_sum_assignment`` work as usual.
 """
 
 from __future__ import annotations

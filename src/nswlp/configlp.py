@@ -17,7 +17,11 @@ on its own (``_scipy_ext.load``) so that a solve never imports
 ``scipy.optimize``.
 
 All bundle data and the final LP vertex stay rational; logarithms, the
-LP duals and the ellipsoid work in doubles.
+LP duals and the ellipsoid work in doubles.  A pool column must pass core's
+one column rule (``core._column_fault``), and every single column, in the
+HiGHS model, the exact LP, a verified cut or the ellipsoid, is priced by
+one function, ``_price``: w_i (shift + ln v_i(S)), with v_i(S) the double
+nearest the exact sum of the agent's int row.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ import numpy as np
 
 from . import _scipy_ext
 from .core import (
+    Agent,
     Infeasible,
     Instance,
     NumericalCollapse,
     TooLarge,
+    _column_fault,
     scale_values,
     validate,
 )
@@ -115,20 +121,27 @@ class _Guess:
 
 
 class _AgentPlan:
-    __slots__ = ("agent", "w_f", "order", "order_vals", "guesses", "ints", "denom")
+    __slots__ = ("agent", "source", "w_f", "guesses")
 
-    def __init__(self, agent, w_f, order, order_vals, guesses, ints, denom):
-        self.agent = agent
+    def __init__(self, agent, source, w_f, guesses):
+        self.agent = agent    # index of the agent in the instance
+        self.source = source  # the Agent itself, which _price reads
         self.w_f = w_f
-        self.order = order            # positive items, by value desc then index
-        self.order_vals = order_vals  # their values as doubles
+        # guesses[0] covers every positive item, by value desc then index;
+        # an agent with none has no guesses.
         self.guesses = guesses
-        self.ints = ints              # every value times denom, exactly
-        self.denom = denom            # lcm of the values' denominators
 
-    def bundle_float(self, items) -> float:
-        """v_i(items) as the nearest double (the float of the exact sum)."""
-        return sum(self.ints[j] for j in items) / self.denom
+
+def _price(agent: Agent, items, shift: float) -> float:
+    """A column's price w_i * (shift + ln v_i(items)).
+
+    v_i(items) is the nearest double to the exact sum of the agent's int
+    row (:attr:`~nswlp.core.Agent.int_values`): int true division rounds
+    correctly, as ``float`` of a ``Fraction`` does.  ``items`` must hold a
+    positive-value item.
+    """
+    ints, d = agent.int_values
+    return float(agent.weight) * (shift + math.log(sum(ints[j] for j in items) / d))
 
 
 def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
@@ -142,13 +155,13 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
     for i, agent in enumerate(instance.agents):
         ints, denom = agent.int_values
         pos = sorted((j for j in range(m) if ints[j] > 0), key=lambda j: (-ints[j], j))
+        guesses = []  # filled below
+        plans.append(_AgentPlan(i, agent, float(agent.weight), guesses))
         if not pos:
-            plans.append(_AgentPlan(i, float(agent.weight), None, None, [], ints, denom))
             continue
         order = np.asarray(pos, dtype=np.int64)
         order_vals = np.asarray([ints[j] / denom for j in pos])
         suffix_totals = list(itertools.accumulate(ints[j] for j in reversed(pos)))[::-1]
-        guesses = []
         seen_values = set()
         for start, jstar in enumerate(pos):
             top = ints[jstar]
@@ -166,9 +179,6 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
                     ln_total=math.log(suffix_totals[start] / denom),
                 )
             )
-        plans.append(
-            _AgentPlan(i, float(agent.weight), order, order_vals, guesses, ints, denom)
-        )
     return plans
 
 
@@ -211,12 +221,9 @@ def _reconstruct(z: np.ndarray, choice: np.ndarray, t: int) -> list[int]:
 
 
 def _verify_cut(plan: _AgentPlan, item_ids, alpha, beta_i, ln_slack) -> bool:
-    lhs = float(alpha[item_ids].sum()) + beta_i
-    total = plan.bundle_float(item_ids)
-    if total <= 0:
-        return False
-    rhs = plan.w_f * (ln_slack + math.log(total))
-    return lhs < rhs
+    """Whether the bundle ``item_ids``, a nonempty set of the plan's positive
+    items, violates its constraint at its price (:func:`_price`)."""
+    return float(alpha[item_ids].sum()) + beta_i < _price(plan.source, item_ids, ln_slack)
 
 
 def _ratio_screen(
@@ -234,17 +241,18 @@ def _ratio_screen(
     """
     found = []
     for plan in plans:
-        if plan.order is None:
+        if not plan.guesses:
             continue
-        a = alpha[plan.order]
-        perm = np.argsort(a / plan.order_vals, kind="stable")
+        order, vals = plan.guesses[0].items, plan.guesses[0].vals_f
+        a = alpha[order]
+        perm = np.argsort(a / vals, kind="stable")
         beta_i = float(beta[plan.agent])
         lhs = np.cumsum(a[perm]) + beta_i
-        margins = plan.w_f * (ln_slack + np.log(np.cumsum(plan.order_vals[perm]))) - lhs
+        margins = plan.w_f * (ln_slack + np.log(np.cumsum(vals[perm]))) - lhs
         k = int(np.argmax(margins))
         if margins[k] <= 0.0:
             continue
-        ids = plan.order[perm[: k + 1]]
+        ids = order[perm[: k + 1]]
         if _verify_cut(plan, ids, alpha, beta_i, ln_slack):
             found.append((plan.agent, tuple(int(j) for j in sorted(ids))))
     return found
@@ -393,9 +401,7 @@ def ellipsoid_run(
             for j in items:
                 g[j] = -1.0
             g[m + i] = -1.0
-            rhs = float(scaled.agents[i].weight) * (
-                ln_slack + math.log(float(scaled.bundle_value(i, items)))
-            )
+            rhs = _price(scaled.agents[i], items, ln_slack)
             margin = rhs - (float(alpha[list(items)].sum()) + float(beta[i]))
         u = L.T @ g
         q = float(u @ u)
@@ -430,11 +436,7 @@ def _build_conf_lp(
 ) -> LinearProgram:
     n, m = instance.num_agents, instance.num_items
     agents_in = sorted({i for i, _ in cols})
-    objective = tuple(
-        float(instance.agents[i].weight)
-        * (ln_shift + math.log(float(instance.bundle_value(i, items))))
-        for i, items in cols
-    )
+    objective = tuple(_price(instance.agents[i], items, ln_shift) for i, items in cols)
     rows = []
     senses = []
     rhs = []
@@ -484,11 +486,10 @@ def _augment_columns(
         key = (i, tuple(sorted(items)))
         if not key[1]:
             raise ValueError("empty column")
-        if not (0 <= i < n and 0 <= key[1][0] and key[1][-1] < m):
-            raise ValueError(f"column {key} has an agent or item index out of range")
-        if len(set(key[1])) < len(key[1]):
-            raise ValueError(f"column {key} repeats an item")
-        if instance.bundle_value(i, key[1]) <= 0:
+        why = _column_fault(n, m, *key)
+        if why is not None:
+            raise ValueError(f"column {key} has {why}")
+        if instance.bundle_value(*key) <= 0:
             raise ValueError("zero-value column")
         pool.setdefault(key)
     for i, agent in enumerate(instance.agents):
@@ -731,8 +732,7 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
 
     def add(key: tuple[int, tuple[int, ...]]) -> None:
         i, items = key
-        cost = -plans[i].w_f * (ln_slack + math.log(plans[i].bundle_float(items)))
-        model.add_column(cost, i, items)
+        model.add_column(-_price(work.agents[i], items, ln_slack), i, items)
 
     pool = set(cols)
     for key in cols:

@@ -5,7 +5,10 @@ nonnegative values; all numeric data is kept as exact rationals so that the
 LP and rounding stages can work without tolerances.  Each agent also keeps
 its values as ints over one denominator (:attr:`Agent.int_values`, computed
 once), and every exact bundle sum adds those ints.  Only logarithms are
-evaluated in double precision.
+evaluated in double precision.  One rule says which (agent, items) pairs
+are columns of an instance, that is bundles a value can be read for
+(:func:`_column_fault`): :meth:`Instance.bundle_value`, the LP pool and the
+rounding all apply it.
 """
 
 from __future__ import annotations
@@ -96,6 +99,17 @@ class Agent:
         return int_row(self.values)
 
 
+def _column_fault(n: int, m: int, i: int, items: Sequence[int]) -> Optional[str]:
+    """Why (i, items) is not a column of an n-agent, m-item instance, or
+    None when it is: a negative index would wrap to the last agent or item,
+    and a repeated item would count twice."""
+    if not 0 <= i < n or (items and not 0 <= min(items) <= max(items) < m):
+        return "an agent or item index out of range"
+    if len(set(items)) < len(items):
+        return "a repeated item"
+    return None
+
+
 @dataclass(frozen=True)
 class Instance:
     """A weighted Nash social welfare instance: agent weights and values.
@@ -113,7 +127,15 @@ class Instance:
         return len(self.agents)
 
     def bundle_value(self, i: int, items: Iterable[int]) -> Fraction:
-        """Additive value of a bundle for agent i, summed exactly as ints."""
+        """Additive value of a bundle for agent i, summed exactly as ints.
+
+        Raises ``ValueError`` when (i, items) is not a column
+        (:func:`_column_fault`).
+        """
+        items = tuple(items)
+        why = _column_fault(self.num_agents, self.num_items, i, items)
+        if why is not None:
+            raise ValueError(f"column {(i, items)} has {why}")
         ints, d = self.agents[i].int_values
         return Fraction(sum(ints[j] for j in items), d)
 

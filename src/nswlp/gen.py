@@ -23,12 +23,10 @@ def random_weights(n: int, rng: random.Random, kind: str = "uniform") -> list[Fr
     if not 1 <= n <= d:
         raise ValueError(f"positive weights on the 1/{d} lattice need 1 to {d} agents, not {n}")
     if kind == "uniform":
-        # Uniform lattice point of the simplex interior via distinct cuts.
-        while True:
-            cuts = sorted(rng.sample(range(1, d), n - 1)) if n > 1 else []
-            parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
-            if all(p > 0 for p in parts):
-                return [Fraction(p, d) for p in parts]
+        # Uniform lattice point of the simplex interior via distinct cuts in
+        # 1..d-1, which leave every part positive.
+        cuts = sorted(rng.sample(range(1, d), n - 1))
+        return [Fraction(b - a, d) for a, b in zip([0] + cuts, cuts + [d])]
     if kind == "dirichlet":
         # Redraw until the last part stays positive; large n makes that rare.
         for _ in range(_DIRICHLET_ATTEMPTS):

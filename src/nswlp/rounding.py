@@ -36,6 +36,7 @@ from .core import (
     EmptyAgent,
     Instance,
     _augment,
+    _column_fault,
     int_row,
 )
 from .configlp import ColumnSolution
@@ -346,21 +347,15 @@ def allocation_from_matching(matching: Matching, num_items: int) -> Allocation:
 def round_combination(instance: Instance, y: ColumnSolution) -> MatchingCombination:
     """Groups plus decomposition for a feasible column solution.
 
-    Raises ``ValueError`` when a column has negative mass, an agent or item
-    index out of range, or a repeated item.
+    Raises ``ValueError`` when a column has negative mass or is not a column
+    of ``instance`` (:func:`~nswlp.core._column_fault`: an agent or item
+    index out of range, or a repeated item).
     """
     n, m = instance.num_agents, instance.num_items
     for k, (col, mass) in enumerate(zip(y.columns, y.mass)):
-        items = col.items
-        if mass < 0:
-            why = f"negative mass {mass}"
-        elif not 0 <= col.agent < n or (items and not 0 <= min(items) <= max(items) < m):
-            why = "an agent or item index out of range"
-        elif len(set(items)) < len(items):
-            why = "a repeated item"
-        else:
-            continue
-        raise ValueError(f"column {k} (agent {col.agent}, items {items}) has {why}")
+        why = f"negative mass {mass}" if mass < 0 else _column_fault(n, m, col.agent, col.items)
+        if why is not None:
+            raise ValueError(f"column {k} (agent {col.agent}, items {col.items}) has {why}")
     x, denom = marginals(y, n, m)
     groups: GroupSet = {i: build_groups(instance, x, i, denom) for i in range(n) if any(x[i])}
     return decompose(groups, m, denom)

@@ -1,11 +1,14 @@
 import json
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nswlp import cli, configlp, jsonio, make_instance, nsw
 from nswlp.cli import main, solve_pipeline
+from nswlp.gen import random_weights
 
 
 def write_instance(path, weights, values):
@@ -36,6 +39,20 @@ def test_gen_zipf_and_dirichlet(tmp_path):
     inst = jsonio.load_instance(str(out))
     assert inst.num_agents == 3
     assert sum(a.weight for a in inst.agents) == 1
+
+
+@pytest.mark.parametrize(
+    "n, first, after",
+    [(1, Fraction(1), 2675342405), (2, Fraction(349, 840), 3185950873),
+     (2520, Fraction(1, 2520), 3229261690)],
+)
+def test_uniform_weights_draws_pinned(n, first, after):
+    # The weights at both ends of the agent range, and the generator state
+    # they leave, which every gen instance's values are drawn from.
+    rng = random.Random(5)
+    weights = random_weights(n, rng)
+    assert (len(weights), sum(weights), weights[0], min(weights) > 0) == (n, 1, first, True)
+    assert rng.getrandbits(32) == after
 
 
 def test_solve_single_agent(tmp_path):
@@ -362,6 +379,23 @@ def test_exact_and_verify_roundtrip(tmp_path):
     assert nsw(inst, alloc) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize(
+    "m, guard, checked",
+    [(3, 7, False), (3, 8, True), (3, 9, True), (24, 10**9, False)],
+)
+def test_verify_guard_only_lowers_the_brute_force_cap(tmp_path, m, guard, checked):
+    # Brute force runs only when n^m (here 2^m) is within both --guard and
+    # BRUTE_FORCE_GUARD (10^7, below 2^24).
+    inst_path, alloc_path, out_path = (tmp_path / name for name in ("i.json", "a.json", "v.json"))
+    write_instance(inst_path, ["1/2", "1/2"], [[1 + j % 3 for j in range(m)]] * 2)
+    alloc_path.write_text(json.dumps({"owner": [j % 2 for j in range(m)]}))
+    args = ["verify", str(inst_path), str(alloc_path), "-o", str(out_path), "--guard", str(guard)]
+    assert main(args) == 0
+    verdict = json.loads(out_path.read_text())
+    assert verdict["nsw"] > 0
+    assert ("opt_nsw" in verdict, "ratio" in verdict) == (checked, checked)
+
+
 def test_exact_log_nsw_matches_verify(tmp_path):
     # Fractional values whose float sums differ from the exact bundle sums
     # in the last digit of log_nsw.
@@ -571,10 +605,14 @@ def test_sample_instance_is_gen_output(tmp_path):
     assert out.read_bytes() == (SAMPLE_DIR / "instance.json").read_bytes()
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", [pytest.param(None, id="deterministic"), *range(5)])
 def test_solve_sample_mode_output_pinned(tmp_path, seed):
+    # Default mode pins the argmax over the matchings, sample mode the draws.
     alloc, report = tmp_path / "a.json", tmp_path / "r.json"
-    args = ["solve", str(SAMPLE_DIR / "instance.json"), "--mode", "sample", "--seed", str(seed)]
+    args = ["solve", str(SAMPLE_DIR / "instance.json")]
+    if seed is not None:
+        args += ["--mode", "sample", "--seed", str(seed)]
     assert main([*args, "-o", str(alloc), "--report", str(report)]) == 0
-    assert alloc.read_bytes() == (SAMPLE_DIR / f"alloc_seed{seed}.json").read_bytes()
-    assert report.read_bytes() == (SAMPLE_DIR / f"report_seed{seed}.json").read_bytes()
+    name = "deterministic" if seed is None else f"seed{seed}"
+    assert alloc.read_bytes() == (SAMPLE_DIR / f"alloc_{name}.json").read_bytes()
+    assert report.read_bytes() == (SAMPLE_DIR / f"report_{name}.json").read_bytes()

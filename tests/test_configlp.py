@@ -204,7 +204,11 @@ def test_plans_on_ints_match_fraction_arithmetic():
                 assert guess.vals_f.tolist() == [float(v) for v in values]
                 assert guess.ln_total == math.log(float(sum(values)))
             items = [j for j in range(m) if rng.random() < 0.5]
-            assert plan.bundle_float(items) == float(sum(agent.values[j] for j in items))
+            total = sum(agent.values[j] for j in items)
+            if total > 0:
+                shift = math.log1p(eps / 2)
+                price = float(agent.weight) * (shift + math.log(float(total)))
+                assert configlp._price(agent, items, shift) == price
 
 
 def _oracle_query_every_guess(plans, alpha, beta, ln_slack):
@@ -349,7 +353,7 @@ def test_restricted_primal_single_column():
         ([[1, 4], [1, 4]], [(2, (0,))], "index out of range"),
         ([[1, 4], [1, 4]], [(-1, (0,))], "index out of range"),
         # Item 1 counted twice would be worth 8, above the LP optimum ln 5.
-        ([[1, 4]], [(0, (1, 1))], r"column \(0, \(1, 1\)\) repeats an item"),
+        ([[1, 4]], [(0, (1, 1))], r"column \(0, \(1, 1\)\) has a repeated item"),
     ],
 )
 def test_restricted_primal_rejects_bad_indices(values, columns, match):

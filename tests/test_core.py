@@ -211,6 +211,23 @@ def test_int_values_are_the_values_exactly(case):
     assert log_nsw(inst, alloc) == _fraction_log_nsw(inst, alloc)
 
 
+@pytest.mark.parametrize(
+    "i, items, why",
+    [
+        (0, [-1], "an agent or item index out of range"),  # would read item 1
+        (0, [2], "an agent or item index out of range"),
+        (0, [0, 0], "a repeated item"),  # would count item 0 twice
+        (-1, [0], "an agent or item index out of range"),  # would read agent 0
+        (1, [0], "an agent or item index out of range"),
+    ],
+)
+def test_bundle_value_rejects_what_is_not_a_column(i, items, why):
+    inst = make_instance(["1"], [[1, 2]])
+    with pytest.raises(ValueError, match=rf"^column \({i}, \({items[0]},.*\) has {why}$"):
+        inst.bundle_value(i, items)
+    assert inst.bundle_value(0, [1, 0]) == 3
+
+
 def test_int_values_are_read_only():
     agent = make_instance(["1"], [["1/2", "2/3"]]).agents[0]
     assert agent.int_values == ((3, 4), 6)

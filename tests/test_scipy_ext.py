@@ -48,10 +48,12 @@ def test_solve_imports_no_scipy_optimize_or_sparse(tmp_path):
 
 SAME_MODULES = """
 import scipy.optimize._highspy._core as core
+import scipy.optimize._lsap as lsap
 from nswlp import configlp, reference
 assert configlp._Highs is core._Highs
 assert configlp.HighsModelStatus is core.HighsModelStatus
 assert reference.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+assert lsap.linear_sum_assignment is reference.linear_sum_assignment
 res = scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
 assert res.status == 0, res.message
 print("ok")

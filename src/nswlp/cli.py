@@ -37,7 +37,6 @@ from .core import (
     TooLarge,
     log_nsw,
     nsw,
-    validate,
 )
 from .gen import random_instance
 from .reference import BRUTE_FORCE_GUARD, brute_force_opt
@@ -65,9 +64,7 @@ def _input_file(path: str):
 
 def _load_instance(path: str) -> Instance:
     with _input_file(path):
-        inst = jsonio.load_instance(path)
-        validate(inst)
-    return inst
+        return jsonio.load_instance(path)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -213,9 +210,8 @@ def cmd_gen(args) -> int:
             vmax=args.vmax,
             weight_kind=args.weights,
         )
-    except ValueError as exc:
+    except ValueError as exc:  # e.g. --items 0: write nothing that solve would reject
         raise InvalidInstance(str(exc)) from exc
-    validate(inst)  # e.g. --items 0: write nothing that solve would reject
     _write(args.output, jsonio.dumps(jsonio.instance_to_obj(inst)))
     return EXIT_OK
 

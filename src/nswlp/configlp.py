@@ -43,7 +43,6 @@ from .core import (
     TooLarge,
     _column_fault,
     scale_values,
-    validate,
 )
 from .lpsolve import LinearProgram, solve_lp
 from .reference import assignment_baseline
@@ -105,6 +104,12 @@ class EllipsoidRun:
 # separation oracle
 
 _EPS_RANGE_MSG = "epsilon must be in (0, 1]"
+
+# Largest DP table one guess may need, (len(z) + 16) * (zcap + 1) bytes:
+# a bool choice row per item plus the cost and value rows in float64.  It
+# is fixed, not read from the machine, so an input fails the same way
+# everywhere.
+_SWEEP_MAX_BYTES = 1 << 30
 
 
 class _Guess:
@@ -169,13 +174,20 @@ def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
                 continue
             seen_values.add(top)
             den = eps_frac.numerator * top
-            z = np.asarray([ints[j] * num // den for j in pos[start:]], dtype=np.int64)
+            z = [ints[j] * num // den for j in pos[start:]]
+            zcap = sum(z)  # Python ints: a tiny epsilon overflows int64
+            size = (len(z) + 16) * (zcap + 1)
+            if size > _SWEEP_MAX_BYTES:
+                raise TooLarge(
+                    f"agent {i}'s separation table needs {size} bytes at epsilon "
+                    f"{epsilon!r}, over the {_SWEEP_MAX_BYTES}-byte guard"
+                )
             guesses.append(
                 _Guess(
                     items=order[start:],
-                    z=z,
+                    z=np.asarray(z, dtype=np.int64),
                     vals_f=order_vals[start:],
-                    zcap=int(z.sum()),
+                    zcap=zcap,
                     ln_total=math.log(suffix_totals[start] / denom),
                 )
             )
@@ -302,7 +314,9 @@ def separation_oracle(
     being reported.  The rounding unit is relative to the guessed top value,
     so the values are taken as given: they need not be scaled.  Returns None
     when no guess produces a qualifying pair.  Raises ValueError on wrong
-    dimensions or a negative alpha, which lies outside the dual.
+    dimensions or a negative alpha, which lies outside the dual, and
+    TooLarge when one guess's DP table would exceed ``_SWEEP_MAX_BYTES``
+    (a small epsilon), before any table is built.
     """
     plans = _build_plans(instance, epsilon)
     alpha = np.asarray(alpha, dtype=float)
@@ -642,7 +656,6 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
 
     Test oracle; column count is n * 2^m, guarded at m <= 12.
     """
-    validate(instance)
     n, m = instance.num_agents, instance.num_items
     if m > FULL_ENUM_MAX_ITEMS:
         raise TooLarge(f"m = {m} exceeds the full-enumeration guard")
@@ -703,10 +716,12 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     Raises NumericalCollapse when HiGHS does not report an optimum, the
     screen or the oracle re-prices a pooled column, or the exact pool value
     misses the certificate: the doubles can then no longer be trusted.
+    Raises Infeasible when no allocation has positive welfare, and
+    TooLarge when an oracle DP table would exceed ``_SWEEP_MAX_BYTES``
+    (a small epsilon or a large instance), before any table is built.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
-    validate(instance)
     # Headroom for the oracle's rounding; large epsilon gains nothing.
     eps_run = min(epsilon, 0.25)
     ln_slack = math.log1p(eps_run / 2.0)

@@ -2,13 +2,15 @@
 
 An instance holds n agents with weights summing to one and per-item
 nonnegative values; all numeric data is kept as exact rationals so that the
-LP and rounding stages can work without tolerances.  Each agent also keeps
-its values as ints over one denominator (:attr:`Agent.int_values`, computed
-once), and every exact bundle sum adds those ints.  Only logarithms are
-evaluated in double precision.  One rule says which (agent, items) pairs
-are columns of an instance, that is bundles a value can be read for
-(:func:`_column_fault`): :meth:`Instance.bundle_value`, the LP pool and the
-rounding all apply it.
+LP and rounding stages can work without tolerances.  Every
+:class:`Instance` is checked when it is made (:func:`validate`), and it is
+frozen, so no reader receives one that breaks these rules.  Each agent also
+keeps its values as ints over one denominator (:attr:`Agent.int_values`,
+computed once), and every exact bundle sum adds those ints.  Only
+logarithms are evaluated in double precision.  One rule says which
+(agent, items) pairs are columns of an instance, that is bundles a value
+can be read for (:func:`_column_fault`): :meth:`Instance.bundle_value`,
+the LP pool and the rounding all apply it.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ def _column_fault(n: int, m: int, i: int, items: Sequence[int]) -> Optional[str]
 class Instance:
     """A weighted Nash social welfare instance: agent weights and values.
 
+    Construction runs :func:`validate`, so an instance that exists has at
+    least one agent and one item, one nonnegative value per item for every
+    agent, nonnegative weights summing to 1 and values in the double range;
+    it raises what :func:`validate` raises otherwise.
+
     Welfare and LP values are in the value space the values are given in.
     Multiplying agent i's values by c > 0 adds w_i ln c to every log welfare
     and to the LP value, so a solver may normalise privately.
@@ -121,6 +128,9 @@ class Instance:
 
     num_items: int
     agents: tuple[Agent, ...]
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     @property
     def num_agents(self) -> int:
@@ -151,12 +161,16 @@ def make_instance(
     weights: Sequence[RationalLike],
     values: Sequence[Sequence[RationalLike]],
 ) -> Instance:
-    """Convenience constructor coercing all entries to Fractions."""
+    """Convenience constructor coercing all entries to Fractions.
+
+    ``num_items`` is the length of the first row (0 with no rows); the
+    :class:`Instance` it builds checks every other row against it, so a
+    ragged, empty or otherwise invalid input raises what :func:`validate`
+    raises.
+    """
     if len(values) != len(weights):
         raise InvalidInstance("one value row per agent required")
-    if not values:
-        raise EmptyInstance("no agents")
-    m = len(values[0])
+    m = len(next(iter(values), ()))
     agents = tuple(
         Agent(as_fraction(w), tuple(as_fraction(v) for v in row))
         for w, row in zip(weights, values)
@@ -165,7 +179,14 @@ def make_instance(
 
 
 def validate(instance: Instance) -> None:
-    """Raise unless all Instance invariants hold."""
+    """Raise unless all Instance invariants hold.
+
+    The one instance rule: :class:`Instance` runs it on construction, so a
+    caller holding an instance never needs to.  Checks, in order: at least
+    one agent and one item, then per agent a nonnegative weight, one value
+    per item, nonnegative values and values in the double range
+    (``TooLarge``), and last that the weights sum to exactly 1.
+    """
     if instance.num_agents < 1:
         raise EmptyInstance("instance has no agents")
     if instance.num_items < 1:

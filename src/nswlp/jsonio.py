@@ -7,7 +7,9 @@ Instance files look like::
 
 Weights and values accept either 'p/q' or decimal notation; serialization
 emits the canonical 'p/q' form.  Any other top-level key is rejected, so
-that no file is read silently in another value space or format.
+that no file is read silently in another value space or format.  The
+:class:`~nswlp.core.Instance` a file is read into checks the instance rules
+against the file's own ``num_items`` when it is made.
 Allocation files are ``{"owner": [agentIndex-or-null, ...]}``.
 """
 
@@ -17,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import Allocation, Instance, InvalidInstance, as_fraction, make_instance
+from .core import Agent, Allocation, Instance, InvalidInstance, as_fraction
 
 
 def parse_rational(x: Any) -> Fraction:
@@ -57,20 +59,14 @@ def instance_from_obj(obj: Any) -> Instance:
         raise InvalidInstance("num_items must be an integer")
     if not isinstance(agents, list) or not agents:
         raise InvalidInstance("agents must be a nonempty list")
-    weights = []
-    values = []
+    rows = []
     for k, a in enumerate(agents):
         try:
-            weights.append(parse_rational(a["weight"]))
-            row = [parse_rational(v) for v in a["values"]]
+            rows.append(Agent(parse_rational(a["weight"]),
+                              tuple(parse_rational(v) for v in a["values"])))
         except (KeyError, TypeError) as exc:
             raise InvalidInstance(f"agent {k}: {exc}") from exc
-        if len(row) != m:
-            raise InvalidInstance(
-                f"agent {k} has {len(row)} values, expected {m}"
-            )
-        values.append(row)
-    return make_instance(weights, values)
+    return Instance(num_items=m, agents=tuple(rows))
 
 
 def allocation_to_obj(alloc: Allocation) -> dict:

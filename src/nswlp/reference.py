@@ -9,7 +9,8 @@ one-item baseline runs on every solve: it seeds the LP driver's column pool
 and decides whether any allocation has positive welfare, with the
 assignment solver's own feasibility test.  That solver is scipy's ``_lsap``
 extension, loaded on its own so that ``scipy.optimize`` is never imported.
-Both solvers :func:`~nswlp.core.validate` their instance first.
+Both solvers trust their instance: every :class:`~nswlp.core.Instance`
+is checked when it is made.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from . import _scipy_ext
-from .core import Allocation, Infeasible, Instance, TooLarge, _augment, log_nsw, validate
+from .core import Allocation, Infeasible, Instance, TooLarge, _augment, log_nsw
 
 linear_sum_assignment = _scipy_ext.load("_lsap").linear_sum_assignment
 
@@ -34,10 +35,8 @@ def brute_force_opt(instance: Instance) -> tuple[Allocation, float]:
     total assignments suffice.  Each assignment is scored with
     :func:`~nswlp.core.log_nsw`'s arithmetic: exact int bundle sums over
     each agent's denominator, so the returned value equals ``log_nsw`` of
-    the returned allocation.  Raises what :func:`~nswlp.core.validate`
-    raises on an invalid instance, and ``TooLarge`` when n^m > 1e7.
+    the returned allocation.  Raises ``TooLarge`` when n^m > 1e7.
     """
-    validate(instance)
     n, m = instance.num_agents, instance.num_items
     if n**m > BRUTE_FORCE_GUARD:
         raise TooLarge(f"{n}^{m} assignments exceed the brute-force guard")
@@ -100,11 +99,11 @@ def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:
     Only positive-weight agents are matched, on edges with v_ij > 0; the
     other edges cost -inf, so the assignment solver's own feasibility test
     raises exactly when no such matching exists, and that becomes
-    ``Infeasible``.  Values are taken as given, scaled or not; an instance
-    :func:`~nswlp.core.validate` rejects raises its error.  The resulting log
-    welfare b brackets the configuration LP optimum within an additive ln(m).
+    ``Infeasible``.  Values are taken as given, scaled or not; the instance
+    was checked when it was made, so every value is a positive finite double
+    or 0.  The resulting log welfare b brackets the configuration LP optimum
+    within an additive ln(m).
     """
-    validate(instance)
     n, m = instance.num_agents, instance.num_items
     rows = [i for i in range(n) if instance.agents[i].weight > 0]
     if len(rows) > m:

@@ -341,6 +341,32 @@ def changed_groups(matchings):
     return out
 
 
+def assert_per_matching_bound(instance: Instance, y, comb) -> int:
+    """Shmoys-Tardos per matching: in every matching of ``comb``, each
+    positive-weight agent's bundle is worth at least its fractional value
+    sum_j x_ij v_ij minus its largest v_ij with x_ij > 0, in exact
+    Fractions.  x is summed here from the column masses of ``y``.  Returns
+    the number of (matching, agent) pairs checked."""
+    n, m = instance.num_agents, instance.num_items
+    x = [[Fraction(0)] * m for _ in range(n)]
+    for col, mass in zip(y.columns, y.mass):
+        for j in col.items:
+            x[col.agent][j] += mass
+    floor = {}
+    for i, agent in enumerate(instance.agents):
+        if agent.weight > 0:
+            vals = agent.values
+            frac = sum((x[i][j] * vals[j] for j in range(m)), Fraction(0))
+            floor[i] = frac - max((vals[j] for j in range(m) if x[i][j] > 0), default=0)
+    checked = 0
+    for mat in comb.matchings:
+        for i, low in floor.items():
+            bundle = [j for (agent, _), j in mat.items() if agent == i]
+            assert instance.bundle_value(i, bundle) >= low, (i, bundle, low)
+            checked += 1
+    return checked
+
+
 def comb_weights(comb):
     """The combination's weights as reduced Fractions: its int steps over D."""
     return tuple(Fraction(step, comb.denom) for step in comb.steps)

@@ -18,6 +18,7 @@ from nswlp import (
     check_ef1,
     decompose,
     full_enumeration_lp,
+    make_instance,
     nsw,
     scale_values,
     separation_oracle,
@@ -26,13 +27,31 @@ from nswlp.cli import main as cli_main
 from nswlp.cli import solve_pipeline
 from nswlp.gen import random_solvable_instance
 from nswlp.rounding import round_combination
-from conftest import comb_weights, int_marginals, random_feasible_marginals, positive_instance
+from conftest import (
+    assert_per_matching_bound,
+    comb_weights,
+    int_marginals,
+    positive_instance,
+    random_feasible_marginals,
+)
 from test_configlp import oracle_inequality_high_precision
 
 EPSILON = 0.1
 RATIO_BOUND = math.e ** (1 / math.e) + EPSILON + 1e-6
 CORPUS_SHAPES = [(n, m) for n in (2, 3) for m in (4, 5, 6, 7)]
 CORPUS_SIZE = 200
+
+
+def contested_instances():
+    """Identical and near-identical valuations; several have fractional LP
+    optima, so the rounding splits them into several matchings."""
+    return [
+        make_instance([Fraction(1, n)] * n, [[v] * m] * n)
+        for n, m, v in [(2, 3, 1), (2, 5, 2), (3, 4, 1), (3, 5, 3), (2, 7, 1), (3, 7, 2)]
+    ] + [
+        make_instance(["1/2", "1/2"], [[5, 5, 1, 1, 1]] * 2),
+        make_instance(["2/3", "1/3"], [[4, 4, 4, 1, 1]] * 2),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -225,16 +244,7 @@ def test_criterion_6_ef1_across_matchings(corpus):
     # Uniform random corpora mostly hit integral LP vertices; contested
     # identical-value instances force fractional combinations so the pair
     # check actually bites.
-    from nswlp import make_instance
-
-    contested = [
-        make_instance([Fraction(1, n)] * n, [[v] * m] * n)
-        for n, m, v in [(2, 3, 1), (2, 5, 2), (3, 4, 1), (3, 5, 3), (2, 7, 1), (3, 7, 2)]
-    ] + [
-        make_instance(["1/2", "1/2"], [[5, 5, 1, 1, 1]] * 2),
-        make_instance(["2/3", "1/3"], [[4, 4, 4, 1, 1]] * 2),
-    ]
-    for inst in contested:
+    for inst in contested_instances():
         _, colsol, _ = solve_pipeline(inst, EPSILON)
         comb = round_combination(inst, colsol)
         for i in range(inst.num_agents):
@@ -245,6 +255,17 @@ def test_criterion_6_ef1_across_matchings(corpus):
             ), (inst, i, bundles)
     assert pairs > 0
     print(f"\nACCEPTANCE 6 ef1-across-matchings: PASS ({pairs} ordered bundle pairs)")
+
+
+def test_per_matching_bound_on_contested_instances():
+    checked = fractional = 0
+    for inst in contested_instances():
+        _, colsol, _ = solve_pipeline(inst, EPSILON)
+        fractional += any(y.denominator > 1 for y in colsol.mass)
+        checked += assert_per_matching_bound(inst, colsol, round_combination(inst, colsol))
+    assert fractional >= 3
+    print(f"\nper-matching bound: PASS ({checked} matching-agent pairs, "
+          f"{fractional} fractional LP solutions)")
 
 
 def test_criterion_7_ef1_quality_identical_valuations():

@@ -472,6 +472,17 @@ def test_solve_lp_epsilon_out_of_range():
         solve_configuration_lp(inst, 1.5)
 
 
+def test_tiny_epsilon_exceeds_the_oracle_table_guard():
+    # At epsilon 1e-30 each DP table would need about 10^31 bytes; the guard
+    # stops both entry points before any table or int64 array exists.
+    inst = make_instance(["1"], [[1, 1]])
+    match = r"^agent 0's separation table needs \d+ bytes at epsilon 1e-30, over the"
+    with pytest.raises(TooLarge, match=match):
+        solve_configuration_lp(inst, 1e-30)
+    with pytest.raises(TooLarge, match=match):
+        separation_oracle(inst, 1e-30, [0.0, 0.0], [0.0])
+
+
 # Identical and near-identical valuations with n close to m.  Random draws
 # almost always have an integral LP optimum; here the optimum is degenerate
 # (identical rows) or strictly fractional (the last three instances have an
@@ -815,7 +826,8 @@ def test_basis_vertex_agrees_with_fraction_elimination():
     outcomes = {"vertex": 0, "singular": 0, "negative": 0, "overloaded": 0}
     for _ in range(600):
         n, m = rng.randint(1, 3), rng.randint(1, 4)
-        work = make_instance(["1"] * n, [[rng.randint(1, 5) for _ in range(m)] for _ in range(n)])
+        work = make_instance([Fraction(1, n)] * n,
+                             [[rng.randint(1, 5) for _ in range(m)] for _ in range(n)])
         bundles = {
             (rng.randrange(n), tuple(sorted(rng.sample(range(m), rng.randint(1, m)))))
             for _ in range(rng.randint(1, 8))

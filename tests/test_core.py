@@ -8,8 +8,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from nswlp import (
+    Agent,
     Allocation,
     EmptyInstance,
+    Instance,
+    InvalidInstance,
     NegativeValue,
     OverlappingBundles,
     WeightSumError,
@@ -54,6 +57,32 @@ def test_validate_negative_weight():
 def test_validate_empty():
     with pytest.raises(EmptyInstance):
         validate(make_instance([], []))
+
+
+def test_ragged_rows_cannot_be_constructed():
+    with pytest.raises(InvalidInstance, match=r"^agent 1 has 1 values, expected 2$"):
+        make_instance(["1/2", "1/2"], [[1, 2], [3]])
+    with pytest.raises(InvalidInstance, match=r"^agent 0 has 1 values, expected 2$"):
+        Instance(num_items=2, agents=(Agent(Fraction(1), (Fraction(1),)),))
+    # The file's num_items is the one every row is checked against.
+    with pytest.raises(InvalidInstance, match=r"^agent 0 has 2 values, expected 3$"):
+        jsonio.instance_from_obj(
+            {"num_items": 3, "agents": [{"weight": "1", "values": ["1", "2"]}]}
+        )
+
+
+def test_unnormalised_weights_cannot_be_constructed():
+    half = Agent(Fraction(1, 2), (Fraction(1),))
+    with pytest.raises(WeightSumError, match=r"^weights sum to 1/2, expected 1$"):
+        Instance(num_items=1, agents=(half,))
+    with pytest.raises(WeightSumError, match=r"^weights sum to 1/2, expected 1$"):
+        make_instance(["1/2"], [[1]])
+    # Frozen, and every copy is made again, so no change leaves it invalid.
+    inst = make_instance(["1/2", "1/2"], [[1], [1]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.agents = (half,)
+    with pytest.raises(WeightSumError, match=r"^weights sum to 1/2, expected 1$"):
+        dataclasses.replace(inst, agents=(half,))
 
 
 def test_log_nsw_single_agent():

@@ -19,6 +19,7 @@ from nswlp import (
     make_instance,
     positivity_check,
 )
+from nswlp import jsonio
 from nswlp.gen import random_solvable_instance
 from nswlp.reference import linear_sum_assignment
 
@@ -54,9 +55,14 @@ def test_brute_force_guard():
 @pytest.mark.parametrize("solver", [brute_force_opt, assignment_baseline])
 @pytest.mark.parametrize("value", [Fraction(10) ** 400, Fraction(1, 10**400)], ids=["huge", "tiny"])
 def test_reference_solvers_reject_values_outside_the_double_range(solver, value):
-    inst = make_instance(["1/2", "1/2"], [[1, 1], [value, 1]])
-    with pytest.raises(TooLarge, match="values of agent 1 leave the double range"):
-        solver(inst)
+    # Such an instance cannot be made, by either constructor, so no solver
+    # ever receives one.
+    obj = {"num_items": 2, "agents": [{"weight": "1/2", "values": ["1", "1"]},
+                                      {"weight": "1/2", "values": [str(value), "1"]}]}
+    for build in (lambda: make_instance(["1/2", "1/2"], [[1, 1], [value, 1]]),
+                  lambda: jsonio.instance_from_obj(obj)):
+        with pytest.raises(TooLarge, match="values of agent 1 leave the double range"):
+            solver(build())
 
 
 @st.composite

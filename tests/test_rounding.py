@@ -25,6 +25,7 @@ from nswlp import core, gen, rounding
 from nswlp.configlp import Column, ColumnSolution
 from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
+    assert_per_matching_bound,
     changed_groups,
     comb_changed,
     comb_weights,
@@ -569,6 +570,24 @@ def test_per_agent_average_meets_lp_share(rng):
             if dead:
                 continue
             assert avg >= share - 1 / math.e - 1e-9
+
+
+def test_every_matching_meets_the_per_matching_bound(rng):
+    # Shmoys-Tardos: each agent loses at most its largest fractional item in
+    # every matching, not only on average over the combination.
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = rng.randint(max(2, n), 7)
+        inst = positive_instance(rng, n, m)
+        y = random_column_solution(rng, inst)
+        checked += assert_per_matching_bound(inst, y, round_combination(inst, y))
+    for n, m in [(8, 30), (12, 50)]:
+        shape_rng = random.Random(1000 * n + m)
+        inst = positive_instance(shape_rng, n, m)
+        y = random_column_solution(shape_rng, inst, parts=10, denom=2520)
+        checked += assert_per_matching_bound(inst, y, round_combination(inst, y))
+    assert checked > 1000
 
 
 def random_matchings(rng, n, m, count):

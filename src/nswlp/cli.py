@@ -7,8 +7,10 @@ instance that would not validate, an instance whose values leave the double
 range, an empty ``bench`` directory, an ``exact`` instance over the
 brute-force guard); 3 no allocation with
 positive welfare exists (``solve`` still writes its files); 4 numerical
-failure in the LP driver (``NumericalCollapse``).  Any other exception ends
-in a traceback.
+failure in the LP driver (``NumericalCollapse``: HiGHS reports no optimum,
+its duals re-price a pooled column, its final basis is not an exactly
+feasible vertex, or the exact value misses the dual bound).  Any other
+exception ends in a traceback.
 """
 
 from __future__ import annotations

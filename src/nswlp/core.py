@@ -55,8 +55,10 @@ class Infeasible(RuntimeError):
 
 class NumericalCollapse(RuntimeError):
     """Double precision failed: HiGHS reports no optimum, the LP duals no
-    longer separate the column pool, the exact pool value misses the dual
-    bound, or the reference ellipsoid's matrix lost positive definiteness."""
+    longer separate the column pool, HiGHS's final basis is not an exactly
+    feasible vertex, the exact pool value misses the dual bound (in the
+    driver or in ``full_enumeration_lp``), or the reference ellipsoid's
+    matrix lost positive definiteness."""
 
 
 class DecompositionFailure(RuntimeError):

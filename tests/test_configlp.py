@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from nswlp import (
+    Infeasible,
     NumericalCollapse,
     TooLarge,
     brute_force_opt,
@@ -16,6 +17,7 @@ from nswlp import (
     full_enumeration_lp,
     log_nsw,
     make_instance,
+    positivity_check,
     round_best,
     round_combination,
     scale_values,
@@ -377,6 +379,26 @@ def test_restricted_primal_two_agents_singletons():
     assert all(v <= 1 for v in per_item.values())
 
 
+@pytest.mark.parametrize(
+    "values, columns, expected",
+    [
+        # Agent 1 used to get its best singleton at mass 1: Infeasible here,
+        # and item 0 taken from agent 0 (lp_value 0) in the second case.
+        ([[1, 1], [1, 1]], [(0, (0, 1))], math.log(2)),
+        ([[2, 1], [1, 1]], [(0, (0, 1)), (0, (1,))], math.log(3)),
+        # A column given for the zero-weight agent is dropped too.
+        ([[2, 1], [1, 1]], [(0, (0, 1)), (1, (0,))], math.log(3)),
+    ],
+)
+def test_restricted_primal_zero_weight_agent_takes_no_part(values, columns, expected):
+    inst = make_instance(["1", "0"], values)
+    sol = solve_restricted_primal(inst, columns, 0.1)
+    assert sol.lp_value == pytest.approx(expected)
+    assert sol.lp_value == pytest.approx(full_enumeration_lp(inst).lp_value)
+    assert [c.agent for c in sol.columns] == [0]
+    assert sol.mass == (Fraction(1),)
+
+
 def test_restricted_primal_respects_item_capacity_exactly():
     inst = make_instance(
         ["1/3", "1/3", "1/3"], [[5, 1, 1], [5, 1, 1], [5, 1, 1]]
@@ -414,6 +436,73 @@ def test_full_enum_guard():
     inst = make_instance(["1"], [[1] * 13])
     with pytest.raises(TooLarge):
         full_enumeration_lp(inst)
+
+
+def test_full_enum_at_twelve_items_matches_the_simplex():
+    # The value the exact rational simplex over all 12,285 columns found.
+    inst = random_solvable_instance(3, 12, random.Random(1), dist="zipf")
+    assert full_enumeration_lp(inst).lp_value == pytest.approx(3.9448941543582037, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        # Dual feasible, 2e-3 above the optimum.
+        lambda alpha, beta: (alpha + 1e-3, beta),
+        # Dual infeasible: the largest reduced cost lifts the bound.
+        lambda alpha, beta: (0 * alpha, 0 * beta),
+    ],
+    ids=["raised-alpha", "zero-duals"],
+)
+def test_full_enum_duals_off_the_optimum_raise(monkeypatch, spoil):
+    real = configlp._HighsLP.solve
+    monkeypatch.setattr(configlp._HighsLP, "solve", lambda self: spoil(*real(self)))
+    inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    with pytest.raises(NumericalCollapse, match="misses the dual bound"):
+        full_enumeration_lp(inst)
+
+
+def test_full_enum_zero_weight_agent_takes_no_part():
+    values = [[4, 1, 2], [5, 5, 5], [1, 3, 2]]
+    idle = full_enumeration_lp(make_instance(["1/2", "0", "1/2"], values))
+    pair = full_enumeration_lp(make_instance(["1/2", "1/2"], [values[0], values[2]]))
+    assert all(c.agent != 1 for c in idle.columns)
+    assert [(c.agent, c.items) for c in idle.columns] == [
+        ((0, 2)[c.agent], c.items) for c in pair.columns
+    ]
+    assert idle.mass == pair.mass
+    assert idle.lp_value == pair.lp_value
+
+
+def test_full_enum_infeasible_lp():
+    inst = make_instance(["1/2", "1/2"], [[1, 0], [1, 0]])
+    with pytest.raises(Infeasible, match="no positive-value matching"):
+        full_enumeration_lp(inst)
+
+
+# Values 10^-12 to 10^12 apart: at HiGHS's default feasibility tolerances
+# (1e-7) some of these draws miss the 1e-9 certificate.
+EXTREME_VALUES = ("0", "1e-12", "5e-12", "1e-6", "1", "2", "3", "1e6", "7e11", "1e12")
+
+
+def test_full_enum_certifies_extreme_values():
+    rng = random.Random(2)
+    solved = 0
+    while solved < 40:
+        n = rng.randint(1, 3)
+        m = rng.randint(max(2, n), 6)
+        weights = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+        if not any(weights):
+            continue
+        values = [[rng.choice(EXTREME_VALUES) for _ in range(m)] for _ in range(n)]
+        inst = make_instance([w / sum(weights) for w in weights], values)
+        if not positivity_check(inst):
+            continue
+        sol = full_enumeration_lp(inst)
+        _assert_exactly_feasible(inst, sol, active=[i for i in range(n) if weights[i]])
+        _, opt = brute_force_opt(inst)
+        assert sol.lp_value >= opt - 1e-9 * max(1.0, abs(opt))
+        solved += 1
 
 
 def test_full_enum_dominates_integral_optimum():
@@ -680,59 +769,49 @@ def test_ratio_screen_returns_verified_cuts_at_most_one_per_agent():
     assert returned > 100
 
 
-def _exact_solves_sabotaged(monkeypatch, calls_to_spoil):
-    """Spoil the first ``calls_to_spoil`` exact solves, the basis vertex
-    first and then the pool simplex: each returns the optimum over the
-    singleton columns only (epsilon shifts the objective by a constant, so
-    any value gives that vertex).  Returns the list of pool sizes they were
-    given."""
-    real_vertex = configlp._basis_vertex
-    real_primal = configlp.solve_restricted_primal
+def _exact_solves_sabotaged(monkeypatch, spoiled):
+    """Replace the exact basis solve by ``spoiled(work, cols)``.  Returns
+    the list of pool sizes it was given."""
     sizes = []
-
-    def singletons(columns):
-        return [c for c in columns if len(c[1]) == 1]
 
     def spoiled_vertex(work, cols, basic, tight):
         sizes.append(len(cols))
-        if len(sizes) <= calls_to_spoil:
-            return real_primal(work, singletons(cols), 0.1)
-        return real_vertex(work, cols, basic, tight)
-
-    def spoiled_primal(instance, columns, epsilon):
-        columns = list(columns)
-        sizes.append(len(columns))
-        if len(sizes) <= calls_to_spoil:
-            columns = singletons(columns)
-        return real_primal(instance, columns, epsilon)
+        return spoiled(work, cols)
 
     monkeypatch.setattr(configlp, "_basis_vertex", spoiled_vertex)
-    monkeypatch.setattr(configlp, "solve_restricted_primal", spoiled_primal)
     return sizes
 
 
-def test_solve_lp_support_miss_falls_back_to_full_pool(monkeypatch):
+def test_solve_lp_infeasible_basis_raises(monkeypatch):
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
-    expected = solve_configuration_lp(inst, 0.1)
-    assert any(len(c.items) > 1 for c in expected.columns)
-    sizes = _exact_solves_sabotaged(monkeypatch, 1)
-    sol = solve_configuration_lp(inst, 0.1)
-    assert len(sizes) == 2 and sizes[1] == sizes[0]
-    assert sol == expected
+    sizes = _exact_solves_sabotaged(monkeypatch, lambda work, cols: None)
+    with pytest.raises(NumericalCollapse, match="basis is not an exactly feasible vertex"):
+        solve_configuration_lp(inst, 0.1)
+    assert len(sizes) == 1
 
 
 def test_solve_lp_certificate_failure_raises(monkeypatch):
+    # The optimum over the singleton columns only, which misses the bound
+    # (epsilon shifts the objective by a constant, so any value gives that
+    # vertex).
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
-    sizes = _exact_solves_sabotaged(monkeypatch, 2)
+    assert any(len(c.items) > 1 for c in solve_configuration_lp(inst, 0.1).columns)
+    sizes = _exact_solves_sabotaged(
+        monkeypatch,
+        lambda work, cols: solve_restricted_primal(work, [c for c in cols if len(c[1]) == 1], 0.1),
+    )
     with pytest.raises(NumericalCollapse, match="misses the dual bound"):
         solve_configuration_lp(inst, 0.1)
-    assert len(sizes) == 2
+    assert len(sizes) == 1
 
 
 # -- exact basis vertex ----------------------------------------------------------
 
 
-def _assert_exactly_feasible(work, sol):
+def _assert_exactly_feasible(work, sol, active=None):
+    """Every agent of ``active`` (default: all) has mass exactly 1, every
+    other agent none, and every item at most 1."""
+    active = range(work.num_agents) if active is None else active
     agent_mass = [Fraction(0)] * work.num_agents
     item_mass = [Fraction(0)] * work.num_items
     for col, y in zip(sol.columns, sol.mass):
@@ -740,7 +819,7 @@ def _assert_exactly_feasible(work, sol):
         agent_mass[col.agent] += y
         for j in col.items:
             item_mass[j] += y
-    assert all(v == 1 for v in agent_mass)
+    assert agent_mass == [Fraction(int(i in active)) for i in range(work.num_agents)]
     assert all(v <= 1 for v in item_mass)
 
 

@@ -214,7 +214,7 @@ GOLDEN = Path(__file__).parent / "data" / "full_enumeration_lp.json"
 def test_full_enumeration_vertex_pinned(case):
     """Columns, masses and lp_value of ``full_enumeration_lp`` on
     ``gen.random_solvable_instance(agents, items, Random(seed), dist,
-    vmax=vmax)``, as an earlier version of the simplex found them."""
+    vmax=vmax)``: the vertex of HiGHS's final basis over every column."""
     inst = gen.random_solvable_instance(
         case["agents"], case["items"], random.Random(case["seed"]), case["dist"], vmax=case["vmax"]
     )

@@ -1,8 +1,9 @@
 """Weighted Nash social welfare solver.
 
-Approximation pipeline: configuration LP (column generation priced by a
-ratio screen and a knapsack-cover separation oracle, with a checked dual
-certificate) followed by value-ordered group rounding
+Approximation pipeline: configuration LP (column generation seeded from a
+Fisher market and priced by an exact branch-and-bound pricer, stopped on a
+Lagrangian bound that the exact vertex is checked against) followed by
+value-ordered group rounding
 with an exact convex decomposition into matchings.  Reference solvers
 (brute force, positivity matching, one-item assignment baseline) certify
 the approximation at desk scale.

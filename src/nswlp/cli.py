@@ -5,11 +5,12 @@ guard violation (``InvalidInstance``, ``TooLarge``: a bad instance,
 allocation, ``--epsilon``, ``--jobs`` or ``gen`` argument, a ``gen``
 instance that would not validate, an instance whose values leave the double
 range, an empty ``bench`` directory, an ``exact`` instance over the
-brute-force guard); 3 no allocation with
-positive welfare exists (``solve`` still writes its files); 4 numerical
-failure in the LP driver (``NumericalCollapse``: HiGHS reports no optimum,
-its duals re-price a pooled column, its final basis is not an exactly
-feasible vertex, or the exact value misses the dual bound).  Any other
+brute-force guard, an LP pricer call over its node budget); 3 no
+allocation with positive welfare exists (``solve`` still writes its
+files); 4 numerical failure in the LP driver (``NumericalCollapse``: HiGHS
+reports no optimum, the pricer re-prices a pooled column at its duals,
+its final basis is not an exactly feasible vertex, or the exact value
+misses the dual bound).  Any other
 exception ends in a traceback.
 """
 

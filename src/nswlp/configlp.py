@@ -3,28 +3,34 @@
 The LP has one variable y[i,S] per agent/bundle pair, so it is solved by
 column generation.  One HiGHS model holds the restricted primal over a pool
 of bundles; each round adds the new columns and re-solves it warm from the
-last basis, in doubles, for its duals.  A ratio screen prices at most one
-violated bundle per agent at those duals, and the knapsack-cover separation
-oracle runs only when the screen finds nothing, so the last round is always
-a full oracle pass.  One exact stage ends both the driver and the
-reference ``full_enumeration_lp``: HiGHS's final basis is solved once in
-exact integer arithmetic, and its vertex must be exactly feasible and its
-value within a cap of the dual bound, or the solve raises
-``NumericalCollapse``.  The central-cut ellipsoid over the dual, the
-source paper's polynomial-time method, is kept as a reference
-(``ellipsoid_run``), and so is the exact rational simplex over a given
-pool (``solve_restricted_primal``).
+last basis, in doubles, for its duals.  The pool is seeded from a Fisher
+market: a few rounds of proportional response give item prices, and each
+agent's bundle is the items it holds the largest share of.  One exact
+branch-and-bound pricer (``_best_bundle``) gives each agent's best bundle
+at a price vector and an upper bound on its value, so every pricing pass
+also gives a Lagrangian bound on the LP; the driver stops when the best
+such bound is within ln(1+eps/2) of the master, or when a pass at the
+duals finds no violated column.  One exact stage ends both the driver
+and the reference ``full_enumeration_lp``: HiGHS's final basis is solved
+once in exact integer arithmetic, and its vertex must be exactly feasible
+and its value within a cap of the dual bound, or the solve raises
+``NumericalCollapse``.  Kept as references, and run by no solve: the
+knapsack-cover separation oracle (``separation_oracle``, a rounded DP),
+the central-cut ellipsoid over the dual that the source paper's
+polynomial-time method uses (``ellipsoid_run``), and the exact rational
+simplex over a given pool (``solve_restricted_primal``).
 
 HiGHS is scipy's compiled binding ``scipy.optimize._highspy._core``, loaded
 on its own (``_scipy_ext.load``) so that a solve never imports
 ``scipy.optimize``.
 
 All bundle data and the final LP vertex stay rational; logarithms, the
-LP duals and the ellipsoid work in doubles.  A pool column must pass core's
-one column rule (``core._column_fault``), and every single column, in the
-HiGHS model, the exact LP, a verified cut or the ellipsoid, is priced by
-one function, ``_price``: w_i (shift + ln v_i(S)), with v_i(S) the double
-nearest the exact sum of the agent's int row.
+LP duals, the market and the ellipsoid work in doubles.  A pool column must
+pass core's one column rule (``core._column_fault``), and every single
+column, in the HiGHS model, the exact LP, the pricer's best bundle, a
+verified cut or the ellipsoid, is priced by one function, ``_price``:
+w_i (shift + ln v_i(S)), with v_i(S) the double nearest the exact sum of
+the agent's int row.
 """
 
 from __future__ import annotations
@@ -239,38 +245,6 @@ def _verify_cut(plan: _AgentPlan, item_ids, alpha, beta_i, ln_slack) -> bool:
     """Whether the bundle ``item_ids``, a nonempty set of the plan's positive
     items, violates its constraint at its price (:func:`_price`)."""
     return float(alpha[item_ids].sum()) + beta_i < _price(plan.source, item_ids, ln_slack)
-
-
-def _ratio_screen(
-    plans: list[_AgentPlan],
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    ln_slack: float,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """At most one violated column per agent, from the knapsack LP's order.
-
-    Each agent's positive items are sorted by alpha_j / v_ij, Dantzig's
-    greedy order for the knapsack LP relaxation, and the prefix with the
-    largest margin is taken.  A prefix is returned only if ``_verify_cut``
-    confirms it; an empty list proves nothing.
-    """
-    found = []
-    for plan in plans:
-        if not plan.guesses:
-            continue
-        order, vals = plan.guesses[0].items, plan.guesses[0].vals_f
-        a = alpha[order]
-        perm = np.argsort(a / vals, kind="stable")
-        beta_i = float(beta[plan.agent])
-        lhs = np.cumsum(a[perm]) + beta_i
-        margins = plan.w_f * (ln_slack + np.log(np.cumsum(vals[perm]))) - lhs
-        k = int(np.argmax(margins))
-        if margins[k] <= 0.0:
-            continue
-        ids = order[perm[: k + 1]]
-        if _verify_cut(plan, ids, alpha, beta_i, ln_slack):
-            found.append((plan.agent, tuple(int(j) for j in sorted(ids))))
-    return found
 
 
 def _oracle_query(
@@ -742,6 +716,119 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
 
 
 # ---------------------------------------------------------------------------
+# branch-and-bound pricing and the market seed
+
+# Nodes one pricer call may expand.  At LP epsilon 0.025 and seed 1, the
+# most one call used was 2,090 at zipf (20,60), 32,624 at zipf (30,100) and
+# 65,901 at zipf (50,150), all with vmax 10, and 1,551,275 at zipf (100,300)
+# with vmax 1000; uniform draws of those shapes used at most 814.
+_NODE_BUDGET = 2_000_000
+
+_MARKET_ROUNDS = 10
+
+
+def _best_bundle(
+    agent: Agent, name: int, x: Sequence[float], ln_slack: float
+) -> tuple[tuple[int, ...], float, float]:
+    """The agent's best bundle at item prices ``x`` >= 0, by branch and bound.
+
+    Maximises f(S) = w ln v(S) - x(S) over the agent's nonempty sets of
+    positive items (the agent must have one).  Items priced 0 belong to
+    every best bundle and are fixed; the others are searched depth first on
+    an explicit stack, in Dantzig's order x_j / v_j, including an item
+    before excluding it.  A node is bounded by the continuous relaxation of
+    its free items: take them whole in ratio order while w / v >= x_j / v_j
+    still holds after the item, then the fraction that brings w / v down to
+    the next ratio.  A node whose bound is within w ln_slack of the best
+    bundle found is pruned.
+
+    Returns (items, f(items), upper): ``items`` sorted, f(items) priced as
+    the HiGHS costs are (:func:`_price`), and ``upper`` >= max_S f(S) with
+    f(items) >= upper - w ln_slack.  Raises TooLarge, naming agent
+    ``name``, when the search expands more than ``_NODE_BUDGET`` nodes.
+    """
+    ints, d = agent.int_values
+    w = float(agent.weight)
+    forced, free = [], []
+    for j, q in enumerate(ints):
+        if q > 0:
+            (free if x[j] > 0 else forced).append(j)
+    free.sort(key=lambda j: (x[j] / (ints[j] / d), j))
+    vals = [ints[j] / d for j in free]
+    costs = [x[j] for j in free]
+    ratios = [c / v for c, v in zip(costs, vals)]
+    k_end = len(free)
+    prune = w * ln_slack
+    best, best_at = -math.inf, None
+    upper = -math.inf
+    # (next free item, value, cost, chosen): chosen is a linked list
+    # (free index, rest) of the included free items.
+    stack = [(0, sum(ints[j] for j in forced) / d, 0.0, None)]
+    nodes = 0
+    while stack:
+        k, v, c, chosen = stack.pop()
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise TooLarge(f"agent {name}'s pricer exceeded {_NODE_BUDGET} branch-and-bound nodes")
+        b, vb, cb = k, v, c
+        while b < k_end and (vb + vals[b]) * ratios[b] <= w:
+            vb += vals[b]
+            cb += costs[b]
+            b += 1
+        if b < k_end and vb * ratios[b] < w:
+            bound = w * math.log(w / ratios[b]) - cb - (w - vb * ratios[b])
+        else:
+            bound = w * math.log(vb) - cb if vb > 0 else -math.inf
+        if bound <= best + prune:
+            upper = max(upper, bound)
+            continue
+        if vb > 0 and w * math.log(vb) - cb > best:
+            best, best_at = w * math.log(vb) - cb, (chosen, k, b)
+        for t in range(k, b):
+            stack.append((t + 1, v, c, chosen))
+            v, c, chosen = v + vals[t], c + costs[t], (t, chosen)
+        if b < k_end:
+            stack.append((b + 1, v, c, chosen))
+            stack.append((b + 1, v + vals[b], c + costs[b], (b, chosen)))
+    chosen, k, b = best_at
+    picked = list(range(k, b))
+    while chosen is not None:
+        picked.append(chosen[0])
+        chosen = chosen[1]
+    items = tuple(sorted(forced + [free[t] for t in picked]))
+    value = _price(agent, items, 0.0) - sum(x[j] for j in items)
+    return items, value, max(upper, value, best)
+
+
+def _market_seed(work: Instance) -> tuple[np.ndarray, list[tuple[int, tuple[int, ...]]]]:
+    """Fisher-market prices for ``work``'s items, and one bundle per agent.
+
+    Runs ``_MARKET_ROUNDS`` rounds of proportional response (Wu & Zhang
+    2007) with budgets w_i on the values of ``work``, starting from bids in
+    proportion to value: each agent splits its budget over the items in
+    proportion to v_ij x_ij, where x_ij is its share of item j.  Returns
+    the prices p_j = sum_i b_ij and, for each agent, the items it holds
+    the largest share of (lowest agent index on ties) when it holds one.
+    """
+    vals = np.asarray([[q / d for q in ints] for ints, d in (a.int_values for a in work.agents)])
+    budget = np.asarray([float(a.weight) for a in work.agents])[:, None]
+    bids = budget * vals / vals.sum(axis=1, keepdims=True)
+    for _ in range(_MARKET_ROUNDS):
+        prices = bids.sum(axis=0)
+        share = np.divide(bids, prices, out=np.zeros_like(bids), where=prices > 0)
+        gain = vals * share
+        bids = budget * gain / gain.sum(axis=1, keepdims=True)
+    prices = bids.sum(axis=0)
+    holder = bids.argmax(axis=0)
+    seeds = []
+    for i in range(work.num_agents):
+        items = tuple(int(j) for j in np.flatnonzero((holder == i) & (prices > 0)))
+        if items:
+            seeds.append((i, items))
+    return prices, seeds
+
+
+# ---------------------------------------------------------------------------
 # top-level solve
 
 
@@ -753,31 +840,40 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     value is 1 (:func:`scale_values`), which shifts the LP value by a
     constant and keeps its vertices; the result is stated in the value
     space of ``instance``.  The pool starts from the one-item assignment
-    baseline's singletons plus every agent's best singleton.  Each round re-solves the pool's LP in one
-    warm-started HiGHS model for the duals (alpha per item, beta per agent)
-    and prices at (alpha, beta + _PRICE_TOL): the ratio screen adds at most
-    one violated bundle per agent, and only when it finds none does the
-    knapsack-cover oracle run, adding the first bundle it finds.  When the
-    oracle finds none, the shifted duals are feasible, so the LP optimum is
-    at most bound = sum(alpha) + sum(beta) + n * _PRICE_TOL.
+    baseline's singletons, every agent's best singleton and the market
+    seed (:func:`_market_seed`): for each agent, the items it holds the
+    largest share of after ``_MARKET_ROUNDS`` rounds of proportional
+    response.  HiGHS's costs are w_i ln v_i(S).
+
+    For item prices x >= 0, L(x) = sum(x) + sum_i U_i(x) bounds the LP
+    optimum from above (the Lagrangian bound of column generation), where
+    U_i(x) is the pricer's upper bound on max_S w_i ln v_i(S) - x(S)
+    (:func:`_best_bundle`, which prunes within w_i ln(1+eps/2)).  x* is the
+    price vector with the lowest L seen, starting at the market prices.
+    Each round re-solves the pool's LP in one warm-started HiGHS model for
+    the duals (alpha per item, beta per agent) and stops when
+    L(x*) - (sum(alpha) + sum(beta)) <= ln(1+eps/2) + n * _PRICE_TOL.
+    Otherwise it prices every agent at (x* + alpha) / 2 and adds each best
+    bundle violated at (alpha, beta + _PRICE_TOL); when there is none it
+    prices at alpha itself, and when that finds none either it stops, since
+    L(alpha) is then within the same gap of the master.
 
     The exact stage solves HiGHS's final basis once (Applegate, Cook, Dash
     & Espinoza 2007): ``_basis_vertex`` eliminates its square 0/1 system on
     ints and checks the vertex exactly, and :func:`_certified_vertex`
-    checks the certificate bound - lp_value <= ln(1+eps/2) + n * _PRICE_TOL
+    checks the certificate L(x*) - lp_value <= ln(1+eps/2) + n * _PRICE_TOL
     + 1e-9.  The returned masses are exactly feasible.
 
     Raises NumericalCollapse when HiGHS does not report an optimum, the
-    screen or the oracle re-prices a pooled column, the final basis is not
-    an exactly feasible vertex, or the exact pool value misses the
-    certificate: the doubles can then no longer be trusted.
-    Raises Infeasible when no allocation has positive welfare, and
-    TooLarge when an oracle DP table would exceed ``_SWEEP_MAX_BYTES``
-    (a small epsilon or a large instance), before any table is built.
+    pricer re-prices a pooled column, the final basis is not an exactly
+    feasible vertex, or the exact pool value misses the certificate: the
+    doubles can then no longer be trusted.  Raises Infeasible when no
+    allocation has positive welfare, and TooLarge, naming the agent, when
+    one pricer call expands more than ``_NODE_BUDGET`` nodes.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
-    # Headroom for the oracle's rounding; large epsilon gains nothing.
+    # The pricer's pruning slack; a large epsilon gains nothing.
     eps_run = min(epsilon, 0.25)
     ln_slack = math.log1p(eps_run / 2.0)
     # Private normalisation (smallest positive value 1 per agent).  No step
@@ -790,33 +886,55 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     # feasible pool.
     base_alloc, _ = assignment_baseline(work)
     baseline = [(owner, (j,)) for j, owner in enumerate(base_alloc.owner) if owner is not None]
-    cols = _augment_columns(work, baseline)
-    plans = _build_plans(work, eps_run)
+    prices, seeds = _market_seed(work)
+    cols = _augment_columns(work, baseline + seeds)
     n, m = work.num_agents, work.num_items
     model = _HighsLP(n, m)
 
     def add(key: tuple[int, tuple[int, ...]]) -> None:
         i, items = key
-        model.add_column(-_price(work.agents[i], items, ln_slack), i, items)
+        model.add_column(-_price(work.agents[i], items, 0.0), i, items)
+
+    def lagrangian(x: list[float]) -> tuple[float, list[tuple[int, tuple[int, ...], float]]]:
+        """L(x), and each agent's best bundle at x with its price
+        w_i ln v_i(S)."""
+        total, bundles = sum(x), []
+        for k, agent in enumerate(work.agents):
+            items, value, upper = _best_bundle(agent, active[k], x, ln_slack)
+            total += upper
+            bundles.append((k, items, value + sum(x[j] for j in items)))
+        return total, bundles
 
     pool = set(cols)
     for key in cols:
         add(key)
+    stop_gap = ln_slack + n * _PRICE_TOL
+    x_best = prices.tolist()
+    bound, _ = lagrangian(x_best)
     while True:
         alpha, beta = model.solve()
-        priced = beta + _PRICE_TOL
-        found = _ratio_screen(plans, alpha, priced, ln_slack)
-        if not found:
-            cut = _oracle_query(plans, alpha, priced, ln_slack)
-            if cut is None:
+        master = float(alpha.sum() + beta.sum())
+        duals = alpha.tolist()
+        found = []
+        for x in ([(a + b) / 2.0 for a, b in zip(x_best, duals)], duals):
+            if bound - master <= stop_gap:
                 break
-            found = [cut]
+            at_x, bundles = lagrangian(x)
+            if at_x < bound:
+                bound, x_best = at_x, x
+            found = [
+                (k, items) for k, items, price in bundles
+                if price - sum(duals[j] for j in items) > beta[k] + _PRICE_TOL
+            ]
+            if found:
+                break
+        if not found:
+            break
         for key in found:
             if key in pool:
                 raise NumericalCollapse("LP duals lost precision: pooled column re-priced")
             pool.add(key)
             cols.append(key)
             add(key)
-    bound = float(alpha.sum() + beta.sum()) + n * _PRICE_TOL
-    gap_cap = ln_slack + n * _PRICE_TOL + 1e-9
+    gap_cap = stop_gap + 1e-9
     return _certified_vertex(instance, active, work, cols, model, bound, gap_cap)

@@ -7,6 +7,10 @@ stress the group structure of the rounding stage.
 
 from __future__ import annotations
 
+import array
+import bisect
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -43,18 +47,22 @@ def random_weights(n: int, rng: random.Random, kind: str = "uniform") -> list[Fr
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _zipf_table(vmax: int) -> tuple[array.array, float]:
+    """The running sums of the rank weights (r + 1)^-ZIPF_EXPONENT over
+    r = 0..vmax, as doubles, and their total by ``sum``."""
+    weights = [(r + 1) ** -ZIPF_EXPONENT for r in range(vmax + 1)]
+    return array.array("d", itertools.accumulate(weights)), sum(weights)
+
+
 def _zipf_value(rng: random.Random, vmax: int) -> int:
     # P(rank r) ~ r^-ZIPF_EXPONENT over r = 1..vmax+1; value = vmax + 1 - rank,
-    # so small values dominate and zero stays reachable.
-    weights = [(r + 1) ** -ZIPF_EXPONENT for r in range(vmax + 1)]
-    total = sum(weights)
-    u = rng.random() * total
-    acc = 0.0
-    for r, w in enumerate(weights):
-        acc += w
-        if u <= acc:
-            return vmax - r
-    return 0
+    # so small values dominate and zero stays reachable.  The first running
+    # sum >= u gives the rank; ``sum`` may round the total above the last
+    # running sum, and a u past it draws 0.
+    running, total = _zipf_table(vmax)
+    r = bisect.bisect_left(running, rng.random() * total)
+    return vmax - r if r < len(running) else 0
 
 
 def random_instance(

@@ -19,6 +19,26 @@ settings.load_profile("derandomized")
 
 
 # ---------------------------------------------------------------------------
+# shared instances
+
+# Identical and near-identical valuations with n close to m.  Random draws
+# almost always have an integral LP optimum; here the optimum is degenerate
+# (identical rows) or strictly fractional (the last three instances have an
+# integrality gap against brute force), which is where column generation
+# must still reach the exact LP.
+FRACTIONAL_FAMILY = [
+    (["1/2", "1/2"], [[9, 6, 9]] * 2),
+    (["1/3", "2/3"], [[3, 2, 1], [3, 1, 2]]),
+    (["1/3"] * 3, [[7, 7, 1, 8]] * 3),
+    (["1/3"] * 3, [[4, 3, 2, 1], [4, 3, 2, 2], [4, 3, 1, 1]]),
+    (["1/3"] * 3, [[6, 5, 6, 5, 7]] * 3),
+    (["1/3"] * 3, [[3, 8, 10, 2, 3], [1, 8, 10, 4, 2], [3, 10, 10, 4, 4]]),
+    (["1/3"] * 3, [[5, 5, 8, 4, 6], [4, 5, 8, 2, 6], [4, 3, 8, 6, 5]]),
+    (["1/3"] * 3, [[9, 6, 0, 10, 4], [9, 4, 0, 7, 6], [6, 2, 0, 8, 5]]),
+]
+
+
+# ---------------------------------------------------------------------------
 # independent oracles (deliberately naive)
 
 

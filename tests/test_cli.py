@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nswlp import cli, configlp, jsonio, make_instance, nsw
+from nswlp import cli, configlp, gen, jsonio, make_instance, nsw
 from nswlp.cli import main, solve_pipeline
 from nswlp.gen import random_weights
 
@@ -53,6 +53,38 @@ def test_uniform_weights_draws_pinned(n, first, after):
     weights = random_weights(n, rng)
     assert (len(weights), sum(weights), weights[0], min(weights) > 0) == (n, 1, first, True)
     assert rng.getrandbits(32) == after
+
+
+def _zipf_by_scan(rng, vmax):
+    """The zipf draw as a linear scan over freshly built weights."""
+    weights = [(r + 1) ** -gen.ZIPF_EXPONENT for r in range(vmax + 1)]
+    u = rng.random() * sum(weights)
+    acc = 0.0
+    for r, w in enumerate(weights):
+        acc += w
+        if u <= acc:
+            return vmax - r
+    return 0
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("vmax", [0, 1, 2, 3, 10, 57, 1000, 10**5])
+def test_zipf_draws_match_the_linear_scan(vmax):
+    # The cached running sums give the scan's value and leave the generator
+    # in the same state, draw after draw, and agree at both ends of [0, 1).
+    fast, scan = random.Random(vmax), random.Random(vmax)
+    for _ in range(300 if vmax < 1000 else 30):
+        assert gen._zipf_value(fast, vmax) == _zipf_by_scan(scan, vmax)
+    assert fast.getstate() == scan.getstate()
+    for u in (0.0, 1e-300, 0.5, 1.0 - 2.0**-53):
+        assert gen._zipf_value(_FixedDraw(u), vmax) == _zipf_by_scan(_FixedDraw(u), vmax)
 
 
 def test_solve_single_agent(tmp_path):
@@ -576,7 +608,7 @@ def test_bench_invalid_instance_names_the_file(tmp_path, capsys):
 def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     inst_path = tmp_path / "i.json"
     write_instance(inst_path, ["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
-    monkeypatch.setattr(configlp, "_oracle_query", lambda *args: (0, (0,)))
+    monkeypatch.setattr(configlp, "_best_bundle", lambda *args: ((0,), 1e9, 1e9))
     code = main(["solve", str(inst_path), "-o", str(tmp_path / "a.json")])
     assert code == 4
     assert "pooled column re-priced" in capsys.readouterr().err
@@ -586,7 +618,7 @@ def test_bench_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     d = tmp_path / "corpus"
     d.mkdir()
     write_instance(d / "i.json", ["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
-    monkeypatch.setattr(configlp, "_oracle_query", lambda *args: (0, (0,)))
+    monkeypatch.setattr(configlp, "_best_bundle", lambda *args: ((0,), 1e9, 1e9))
     code = main(["bench", str(d), "-o", str(tmp_path / "b.csv")])
     assert code == 4
     assert "error: " in capsys.readouterr().err
@@ -594,7 +626,7 @@ def test_bench_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 # `gen --agents 10 --items 30 --dist zipf --seed 1`: its LP is fractional, so
-# the combination has 25 matchings and the draws pick different ones.
+# the combination has 17 matchings and the draws pick different ones.
 SAMPLE_DIR = Path(__file__).parent / "data" / "sample_zipf_10x30"
 
 

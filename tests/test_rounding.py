@@ -19,12 +19,14 @@ from nswlp import (
     round_best,
     round_combination,
     brute_force_opt,
+    full_enumeration_lp,
     solve_configuration_lp,
 )
-from nswlp import core, gen, rounding
+from nswlp import core, rounding
 from nswlp.configlp import Column, ColumnSolution
 from nswlp.rounding import MatchingCombination, best_allocation, item_order, pad_square
 from conftest import (
+    FRACTIONAL_FAMILY,
     assert_per_matching_bound,
     changed_groups,
     comb_changed,
@@ -754,12 +756,13 @@ def test_round_combination_at_round_frac_scale(n, m):
     assert round_best(inst, y).owner == by_log_nsw(inst, comb).owner
 
 
-@pytest.mark.parametrize("seed", [4, 5])
-def test_round_best_on_fractional_zipf_vertices(seed):
-    # The LP vertices of these zipf (8,20) instances are fractional, so the
-    # rounding splits them into several matchings.
-    inst = gen.random_solvable_instance(8, 20, random.Random(seed), "zipf")
-    sol = solve_configuration_lp(inst, 0.025)
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_round_best_on_fractional_zipf_vertices(k):
+    # The exact LP vertices of these FRACTIONAL_FAMILY instances put mass
+    # 1/2 on six columns, so the rounding splits them into several
+    # matchings.
+    inst = make_instance(*FRACTIONAL_FAMILY[k])
+    sol = full_enumeration_lp(inst)
     assert any(mass.denominator > 1 for mass in sol.mass)
     comb = round_combination(inst, sol)
     assert len(comb.matchings) > 1

@@ -41,7 +41,6 @@ from .configlp import (
     solve_configuration_lp,
     solve_restricted_primal,
 )
-from .lpsolve import LinearProgram, LpSolution, solve_lp
 from .reference import assignment_baseline, brute_force_opt, positivity_check
 from .rounding import (
     MatchingCombination,
@@ -65,8 +64,6 @@ __all__ = [
     "Infeasible",
     "Instance",
     "InvalidInstance",
-    "LinearProgram",
-    "LpSolution",
     "MatchingCombination",
     "NegativeValue",
     "NumericalCollapse",
@@ -92,7 +89,6 @@ __all__ = [
     "scale_values",
     "separation_oracle",
     "solve_configuration_lp",
-    "solve_lp",
     "solve_restricted_primal",
     "validate",
 ]

@@ -3,15 +3,15 @@
 Exit codes, assigned in :func:`main` alone: 0 success; 2 invalid input or
 guard violation (``InvalidInstance``, ``TooLarge``: a bad instance,
 allocation, ``--epsilon``, ``--jobs`` or ``gen`` argument, a ``gen``
-instance that would not validate, an instance whose values leave the double
-range, an empty ``bench`` directory, an ``exact`` instance over the
-brute-force guard, an LP pricer call over its node budget); 3 no
-allocation with positive welfare exists (``solve`` still writes its
-files); 4 numerical failure in the LP driver (``NumericalCollapse``: HiGHS
-reports no optimum, the pricer re-prices a pooled column at its duals,
-its final basis is not an exactly feasible vertex, or the exact value
-misses the dual bound).  Any other
-exception ends in a traceback.
+instance that would not validate, an instance whose weights or values
+leave the double range, an empty ``bench`` directory, an ``exact``
+instance over the brute-force guard, an LP pricer call over its node
+budget); 3 no allocation with positive welfare exists (``solve`` still
+writes its files); 4 numerical failure in the LP driver
+(``NumericalCollapse``: HiGHS reports no optimum, the pricer re-prices a
+pooled column at its duals, its final basis is not an exactly feasible
+vertex, or the exact value misses the dual bound).  Any other exception
+ends in a traceback.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ EXIT_COLLAPSE = 4
 
 @contextlib.contextmanager
 def _input_file(path: str):
-    """Re-raise a read, JSON or format error, or values outside the double
-    range, as ``InvalidInstance`` naming ``path``."""
+    """Re-raise a read, JSON or format error, or a weight or values outside
+    the double range, as ``InvalidInstance`` naming ``path``."""
     try:
         yield
     except json.JSONDecodeError as exc:

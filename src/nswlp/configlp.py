@@ -18,7 +18,8 @@ and its value within a cap of the dual bound, or the solve raises
 knapsack-cover separation oracle (``separation_oracle``, a rounded DP),
 the central-cut ellipsoid over the dual that the source paper's
 polynomial-time method uses (``ellipsoid_run``), and the exact rational
-simplex over a given pool (``solve_restricted_primal``).
+simplex over a given pool (``solve_restricted_primal``), whose module
+``lpsolve`` is imported only when it runs.
 
 HiGHS is scipy's compiled binding ``scipy.optimize._highspy._core``, loaded
 on its own (``_scipy_ext.load``) so that a solve never imports
@@ -39,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +54,10 @@ from .core import (
     _column_fault,
     scale_values,
 )
-from .lpsolve import LinearProgram, solve_lp
 from .reference import assignment_baseline
+
+if TYPE_CHECKING:
+    from .lpsolve import LinearProgram
 
 _highs = _scipy_ext.load("_highspy._core")
 _Highs = _highs._Highs
@@ -425,6 +428,10 @@ def _build_conf_lp(
     cols: list[tuple[int, tuple[int, ...]]],
     ln_shift: float,
 ) -> LinearProgram:
+    # Imported here, as in solve_restricted_primal, so that no solve loads
+    # the Fraction simplex.
+    from .lpsolve import LinearProgram
+
     n, m = instance.num_agents, instance.num_items
     agents_in = sorted({i for i, _ in cols})
     objective = tuple(_price(instance.agents[i], items, ln_shift) for i, items in cols)
@@ -656,6 +663,8 @@ def solve_restricted_primal(
     is always satisfiable.  A zero-weight agent takes no part: its columns
     are dropped.
     """
+    from .lpsolve import solve_lp
+
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
     cols = _augment_columns(instance, columns)

@@ -16,6 +16,7 @@ the LP pool and the rounding all apply it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,8 +46,8 @@ class OverlappingBundles(ValueError):
 
 
 class TooLarge(ValueError):
-    """Input exceeds the guard of an exhaustive routine, or an agent's values
-    span more than the double range the solver prices them in."""
+    """Input exceeds the guard of an exhaustive routine, or an agent's weight
+    or values leave the double range the solver prices them in."""
 
 
 class Infeasible(RuntimeError):
@@ -69,10 +70,22 @@ class EmptyAgent(ValueError):
     """Agent has zero fractional mass, so no groups can be built."""
 
 
+# A decimal literal with an exponent, in Fraction's own grammar: integer
+# digits, fraction digits, exponent.  Fraction builds 10**exponent, which
+# takes seconds at an exponent of 10**7 and minutes at 10**8.
+_DECIMAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
+_MAX_DECIMAL_EXPONENT = 10_000
+
+
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' / decimal strings, floats and Fractions to Fraction.
 
-    Floats are read through their decimal repr, so 0.1 becomes 1/10.
+    Floats are read through their decimal repr, so 0.1 becomes 1/10.  A
+    nonzero decimal string whose exponent is beyond +-10,000 raises
+    ValueError before any power of ten is built: no such value is a double
+    once its mantissa is under Python's 4,300-digit cap.
     """
     if isinstance(x, Fraction):
         return x
@@ -81,6 +94,12 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # The substring test spares the common 'p/q' literal the regex.
+        lit = _DECIMAL.fullmatch(x) if "e" in x or "E" in x else None
+        if lit and abs(int(lit[3])) > _MAX_DECIMAL_EXPONENT:
+            if int(lit[1] or 0) or int(lit[2] or 0):
+                raise ValueError(f"decimal exponent {lit[3]} is beyond +-{_MAX_DECIMAL_EXPONENT:,}")
+            return Fraction(0)
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(str(x))
@@ -185,9 +204,10 @@ def validate(instance: Instance) -> None:
 
     The one instance rule: :class:`Instance` runs it on construction, so a
     caller holding an instance never needs to.  Checks, in order: at least
-    one agent and one item, then per agent a nonnegative weight, one value
-    per item, nonnegative values and values in the double range
-    (``TooLarge``), and last that the weights sum to exactly 1.
+    one agent and one item, then per agent a nonnegative weight that is 0
+    or a positive finite double (``TooLarge``), one value per item,
+    nonnegative values and values in the double range (``TooLarge``), and
+    last that the weights sum to exactly 1.
     """
     if instance.num_agents < 1:
         raise EmptyInstance("instance has no agents")
@@ -195,8 +215,15 @@ def validate(instance: Instance) -> None:
         raise EmptyInstance("instance has no items")
     total = Fraction(0)
     for idx, agent in enumerate(instance.agents):
-        if agent.weight < 0:
+        w = agent.weight
+        if w < 0:
             raise NegativeValue(f"agent {idx} has negative weight")
+        # The pricer and the market work with the weight as a double.
+        if w and not _positive_double(w.numerator, w.denominator):
+            raise TooLarge(
+                f"weight of agent {idx} leaves the double range: a positive weight must be "
+                "a positive finite double"
+            )
         if len(agent.values) != instance.num_items:
             raise InvalidInstance(
                 f"agent {idx} has {len(agent.values)} values, "
@@ -215,7 +242,7 @@ def validate(instance: Instance) -> None:
                     f"values of agent {idx} leave the double range: its smallest positive "
                     "value, its total and their ratio must be positive finite doubles"
                 )
-        total += agent.weight
+        total += w
     if total != 1:
         raise WeightSumError(f"weights sum to {total}, expected 1")
 

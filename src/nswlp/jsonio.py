@@ -5,9 +5,12 @@ Instance files look like::
     {"num_items": 3,
      "agents": [{"weight": "1/2", "values": ["3", "0.5", "0"]}, ...]}
 
-Weights and values accept either 'p/q' or decimal notation; serialization
-emits the canonical 'p/q' form.  Any other top-level key is rejected, so
-that no file is read silently in another value space or format.  The
+Weights and values accept either 'p/q' or decimal notation, as strings
+or bare JSON numbers; a bare number is read from its literal, as its
+string would be, so 0.1 is 1/10 and 1e-400 is not rounded to 0.
+Serialization emits the canonical 'p/q' form.  Any other top-level key
+is rejected, so that no file is read silently in another value space or
+format.  The
 :class:`~nswlp.core.Instance` a file is read into checks the instance rules
 against the file's own ``num_items`` when it is made.
 Allocation files are ``{"owner": [agentIndex-or-null, ...]}``.
@@ -55,7 +58,7 @@ def instance_from_obj(obj: Any) -> Instance:
         agents = obj["agents"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"missing field: {exc}") from exc
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise InvalidInstance("num_items must be an integer")
     if not isinstance(agents, list) or not agents:
         raise InvalidInstance("agents must be a nonempty list")
@@ -96,7 +99,7 @@ def dumps(obj: dict) -> str:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_obj(json.load(fh))
+        return instance_from_obj(json.load(fh, parse_float=parse_rational))
 
 
 def save_instance(path: str, instance: Instance) -> None:

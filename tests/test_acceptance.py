@@ -23,6 +23,7 @@ from nswlp import (
     scale_values,
     separation_oracle,
 )
+from nswlp import configlp
 from nswlp.cli import main as cli_main
 from nswlp.cli import solve_pipeline
 from nswlp.gen import random_solvable_instance
@@ -122,10 +123,16 @@ def test_criterion_3_relaxation_dominance(corpus):
 
 
 def test_criterion_4_oracle_complete_and_sound():
+    # Two oracles at the same duals: the reference DP (separation_oracle)
+    # and the branch-and-bound pricer every solve runs (configlp._best_bundle),
+    # which prices each agent at alpha and prunes within w_i ln(1 + eps/2).
     rng = random.Random(424242)
+    ln_slack = math.log1p(EPSILON / 2)
     duals = 0
     completeness_hits = 0
     returned = 0
+    pricer_hits = 0
+    pricer_returned = 0
     while duals < 500:
         n, m = rng.randint(1, 2), rng.randint(4, 8)
         inst = random_solvable_instance(n, m, rng)
@@ -148,18 +155,17 @@ def test_criterion_4_oracle_complete_and_sound():
             for mask in range(1, 1 << m):
                 low = mask & (-mask)
                 asum[mask] = asum[mask ^ low] + alpha[low.bit_length() - 1]
-            violated = False
-            for i, agent in enumerate(work.agents):
-                w = float(agent.weight)
-                for mask in range(1, 1 << m):
-                    v = subset_val[i][mask]
-                    if v > 0 and asum[mask] + beta[i] < w * math.log(float(v)):
-                        violated = True
-                        break
-                if violated:
-                    break
+            # per agent, max_S w_i ln v_i(S) - alpha(S) over every bundle
+            best = [
+                max(
+                    float(agent.weight) * math.log(float(v)) - asum[mask]
+                    for mask, v in enumerate(subset_val[i]) if v > 0
+                )
+                for i, agent in enumerate(work.agents)
+            ]
+            violated_agents = [i for i in range(n) if best[i] > beta[i]]
             res = separation_oracle(work, EPSILON, alpha, beta)
-            if violated:
+            if violated_agents:
                 completeness_hits += 1
                 assert res is not None, (alpha, beta)
             if res is not None:
@@ -168,11 +174,30 @@ def test_criterion_4_oracle_complete_and_sound():
                 assert oracle_inequality_high_precision(
                     work, EPSILON, alpha, beta, i, items
                 ), (alpha, beta, res)
+            for i, agent in enumerate(work.agents):
+                items, value, _ = configlp._best_bundle(agent, i, alpha, ln_slack)
+                slack = float(agent.weight) * ln_slack
+                # 1e-9 covers the two float sums of alpha over the bundle.
+                assert value >= best[i] - slack - 1e-9, (alpha, i, items)
+                # The bundle violates its constraint at values inflated by
+                # 1 + eps/2, as the DP's returned pairs do.
+                found = value + slack > beta[i]
+                if i in violated_agents:
+                    pricer_hits += 1
+                    assert found, (alpha, beta, i, items)
+                if found:
+                    pricer_returned += 1
+                    assert oracle_inequality_high_precision(
+                        work, EPSILON, alpha, beta, i, items
+                    ), (alpha, beta, i, items)
     assert completeness_hits > 50
+    assert pricer_hits > 50
     print(
-        f"\nACCEPTANCE 4 oracle-complete-and-sound: PASS "
-        f"({duals} duals, {completeness_hits} exhaustive violations all found, "
-        f"{returned} returned pairs all verified)"
+        f"\nACCEPTANCE 4 oracle-complete-and-sound: PASS ({duals} duals; "
+        f"DP oracle: {completeness_hits} exhaustive violations all found, "
+        f"{returned} returned pairs all verified; "
+        f"pricer: {pricer_hits} violated agents all found within w_i ln(1+eps/2), "
+        f"{pricer_returned} violated bundles all verified)"
     )
 
 

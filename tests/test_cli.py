@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -282,16 +283,25 @@ def test_gen_dirichlet_weights_off_the_lattice_exit_code(tmp_path, capsys, agent
 
 
 @pytest.mark.parametrize(
-    "values",
-    [["1" + "0" * 400, "1"], ["1/1" + "0" * 400, "1"], ["1/1" + "0" * 200, "1" + "0" * 200]],
-    ids=["huge", "tiny", "wide"],
+    "agents, shown",
+    [
+        ([("1", ["1" + "0" * 400, "1"])], "values of agent 0 leave"),
+        ([("1", ["1/1" + "0" * 400, "1"])], "values of agent 0 leave"),
+        ([("1", ["1/1" + "0" * 200, "1" + "0" * 200])], "values of agent 0 leave"),
+        # A positive weight that is 0.0 as a double.
+        ([("1/1" + "0" * 400, ["1", "2"]), ("9" * 400 + "/1" + "0" * 400, ["2", "1"])],
+         "weight of agent 0 leaves"),
+    ],
+    ids=["huge", "tiny", "wide", "tiny-weight"],
 )
 @pytest.mark.parametrize("command", ["solve", "exact", "bench"])
-def test_values_outside_the_double_range_exit_code(tmp_path, capsys, command, values):
+def test_values_outside_the_double_range_exit_code(tmp_path, capsys, command, agents, shown):
     d = tmp_path / "corpus"
     d.mkdir()
     inst = d / "i.json"
-    inst.write_text(json.dumps({"num_items": 2, "agents": [{"weight": "1", "values": values}]}))
+    inst.write_text(json.dumps(
+        {"num_items": 2, "agents": [{"weight": w, "values": v} for w, v in agents]}
+    ))
     out = tmp_path / "out"
     if command == "bench":
         args = ["bench", str(d), "-o", str(out)]
@@ -299,9 +309,41 @@ def test_values_outside_the_double_range_exit_code(tmp_path, capsys, command, va
         args = [command, str(inst), "-o", str(out), "--report", str(tmp_path / "r")]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {inst}: values of agent 0 leave the double range")
+    assert err.startswith(f"error: {inst}: {shown} the double range")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
+HUGE_EXPONENT = "bad rational '1e100000000': decimal exponent 100000000 is beyond +-10,000"
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ('{"num_items": true, "agents": [{"weight": "1", "values": ["1"]}]}',
+         "num_items must be an integer"),
+        # Read from its literal, as "1e-400" is, not as the double 0.0.
+        ('{"num_items": 2, "agents": [{"weight": "1", "values": [1e-400, 1]}]}',
+         "values of agent 0 leave the double range"),
+        # Rejected before Fraction builds 10**(10**8), which takes minutes.
+        ('{"num_items": 2, "agents": [{"weight": "1", "values": ["1e100000000", "1"]}]}',
+         HUGE_EXPONENT),
+        ('{"num_items": 2, "agents": [{"weight": "1", "values": [1e100000000, 1]}]}',
+         HUGE_EXPONENT),
+    ],
+    ids=["bool-items", "bare-tiny", "huge-exponent", "bare-huge-exponent"],
+)
+def test_instance_spelling_errors_exit_code(tmp_path, capsys, text, shown):
+    inst = tmp_path / "i.json"
+    inst.write_text(text)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["solve", str(inst), "-o", str(out), "--report", str(tmp_path / "r")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {inst}: {shown}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,7 +26,6 @@ from nswlp import (
     scale_values,
     separation_oracle,
     solve_configuration_lp,
-    solve_restricted_primal,
 )
 from nswlp import configlp
 from nswlp.configlp import _sweep
@@ -285,7 +286,7 @@ def test_ellipsoid_low_guess_collects_columns_or_ends_feasible():
     assert run.reason in ("volume", "flat", "feasible-center")
     if run.reason != "feasible-center":
         assert (0, (0,)) in run.columns
-    sol = solve_restricted_primal(work, list(run.columns), 0.1)
+    sol = configlp.solve_restricted_primal(work, list(run.columns), 0.1)
     assert sol.lp_value >= -1.0 - 0.1
 
 
@@ -341,7 +342,7 @@ def test_ellipsoid_rejects_unscaled_values():
 
 def test_restricted_primal_single_column():
     inst = make_instance(["1"], [[2, 3]])
-    sol = solve_restricted_primal(inst, [(0, (0, 1))], 0.1)
+    sol = configlp.solve_restricted_primal(inst, [(0, (0, 1))], 0.1)
     assert sol.lp_value == pytest.approx(math.log(5))
     assert [(c.agent, c.items) for c in sol.columns] == [(0, (0, 1))]
     assert sol.mass == (Fraction(1),)
@@ -363,13 +364,13 @@ def test_restricted_primal_single_column():
 def test_restricted_primal_rejects_bad_indices(values, columns, match):
     inst = make_instance([Fraction(1, len(values))] * len(values), values)
     with pytest.raises(ValueError, match=match):
-        solve_restricted_primal(inst, columns, 0.1)
+        configlp.solve_restricted_primal(inst, columns, 0.1)
 
 
 def test_restricted_primal_two_agents_singletons():
     inst = make_instance(["1/2", "1/2"], [[2, 2], [2, 2]])
     cols = [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]
-    sol = solve_restricted_primal(inst, cols, 0.1)
+    sol = configlp.solve_restricted_primal(inst, cols, 0.1)
     assert sol.lp_value == pytest.approx(math.log(2))
     per_agent = {0: Fraction(0), 1: Fraction(0)}
     per_item = {0: Fraction(0), 1: Fraction(0)}
@@ -394,7 +395,7 @@ def test_restricted_primal_two_agents_singletons():
 )
 def test_restricted_primal_zero_weight_agent_takes_no_part(values, columns, expected):
     inst = make_instance(["1", "0"], values)
-    sol = solve_restricted_primal(inst, columns, 0.1)
+    sol = configlp.solve_restricted_primal(inst, columns, 0.1)
     assert sol.lp_value == pytest.approx(expected)
     assert sol.lp_value == pytest.approx(full_enumeration_lp(inst).lp_value)
     assert [c.agent for c in sol.columns] == [0]
@@ -407,7 +408,7 @@ def test_restricted_primal_respects_item_capacity_exactly():
     )
     cols = [(i, (j,)) for i in range(3) for j in range(3)]
     cols += [(i, (0, 1)) for i in range(3)]
-    sol = solve_restricted_primal(inst, cols, 0.1)
+    sol = configlp.solve_restricted_primal(inst, cols, 0.1)
     item_mass = {j: Fraction(0) for j in range(3)}
     agent_mass = {i: Fraction(0) for i in range(3)}
     for col, y in zip(sol.columns, sol.mass):
@@ -537,6 +538,25 @@ def test_full_enum_feasibility_exact():
         assert set(agent_mass) == set(active)
         assert all(v == 1 for v in agent_mass.values())
         assert all(v <= 1 for v in item_mass.values())
+
+
+GOLDEN = Path(__file__).parent / "data" / "full_enumeration_lp.json"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text()), ids=lambda c: "{agents}x{items}-{dist}-v{vmax}-s{seed}".format(**c)
+)
+def test_full_enumeration_vertex_pinned(case):
+    """Columns, masses and lp_value of ``full_enumeration_lp`` on
+    ``random_solvable_instance(agents, items, Random(seed), dist,
+    vmax=vmax)``: the vertex of HiGHS's final basis over every column."""
+    inst = random_solvable_instance(
+        case["agents"], case["items"], random.Random(case["seed"]), case["dist"], vmax=case["vmax"]
+    )
+    sol = full_enumeration_lp(inst)
+    assert [[c.agent, list(c.items)] for c in sol.columns] == case["columns"]
+    assert [str(y) for y in sol.mass] == case["mass"]
+    assert sol.lp_value == float(case["lp_value"])
 
 
 # -- branch-and-bound pricer ----------------------------------------------------
@@ -680,12 +700,16 @@ def test_solve_lp_epsilon_out_of_range():
 def test_tiny_epsilon_exceeds_the_oracle_table_guard():
     # At epsilon 1e-30 each DP table would need about 10^31 bytes; the guard
     # stops the reference oracle before any table or int64 array exists.
-    # The solve path builds no table: its pricer prunes within
-    # w ln(1 + 5e-31), which is exact search on two items.
     inst = make_instance(["1"], [[1, 1]])
     match = r"^agent 0's separation table needs \d+ bytes at epsilon 1e-30, over the"
     with pytest.raises(TooLarge, match=match):
         separation_oracle(inst, 1e-30, [0.0, 0.0], [0.0])
+
+
+def test_solve_lp_at_tiny_epsilon():
+    # The solve path builds no table: its pricer prunes within
+    # w ln(1 + 5e-31), which is exact search on two items.
+    inst = make_instance(["1"], [[1, 1]])
     sol = solve_configuration_lp(inst, 1e-30)
     assert [(c.agent, c.items) for c in sol.columns] == [(0, (0, 1))]
     assert sol.mass == (1,)
@@ -870,14 +894,16 @@ def test_solve_lp_infeasible_basis_raises(monkeypatch):
 
 
 def test_solve_lp_certificate_failure_raises(monkeypatch):
-    # The optimum over the singleton columns only, which misses the bound
-    # (epsilon shifts the objective by a constant, so any value gives that
-    # vertex).
+    # The best vertex over singleton columns (agent 0 takes item 0, agent 1
+    # item 1), exact and feasible, but 1/2 ln(5/3) below the optimum, which
+    # takes a bundle of two items.
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
     assert any(len(c.items) > 1 for c in solve_configuration_lp(inst, 0.1).columns)
     sizes = _exact_solves_sabotaged(
         monkeypatch,
-        lambda work, cols: solve_restricted_primal(work, [c for c in cols if len(c[1]) == 1], 0.1),
+        lambda work, cols: configlp._column_solution(
+            work, [(0, (0,)), (1, (1,))], [Fraction(1), Fraction(1)]
+        ),
     )
     with pytest.raises(NumericalCollapse, match="misses the dual bound"):
         solve_configuration_lp(inst, 0.1)
@@ -930,7 +956,7 @@ def test_basis_vertex_is_exact_and_matches_simplex(monkeypatch):
         assert [(c.agent, c.items) for c in sol.columns] == sorted(
             (c.agent, c.items) for c in sol.columns
         )
-        simplex = solve_restricted_primal(work, basic_cols, min(eps, 0.25))
+        simplex = configlp.solve_restricted_primal(work, basic_cols, min(eps, 0.25))
         assert sol.lp_value == pytest.approx(simplex.lp_value, abs=1e-9)
         fractional += any(y < 1 for y in sol.mass)
     assert len(seen) == len(cases)

@@ -16,6 +16,7 @@ from nswlp import (
     NegativeValue,
     OverlappingBundles,
     WeightSumError,
+    as_fraction,
     check_ef1,
     log_nsw,
     make_instance,
@@ -287,6 +288,31 @@ def test_instance_json_accepts_decimal_and_fraction_notation():
     inst = jsonio.instance_from_obj(obj)
     assert inst.agents[0].weight == Fraction(1, 2)
     assert inst.agents[1].values[0] == Fraction(1, 8)
+
+
+def test_bare_json_numbers_read_as_their_literals(tmp_path):
+    # The third value is not 0.1, though it parses to the same double.
+    values = [["0.1", "2.5e-3", "0.1000000000000000055511151231257827"], ["1", "1e-300", "3"]]
+    files = []
+    for name, quote in (("bare", ""), ("quoted", '"')):
+        rows = ", ".join(
+            '{"weight": 0.5, "values": [%s]}' % ", ".join(quote + v + quote for v in row)
+            for row in values
+        )
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text('{"num_items": 3, "agents": [%s]}' % rows)
+    bare, quoted = (jsonio.load_instance(str(f)) for f in files)
+    assert bare == quoted
+    assert bare.agents[0].values[:2] == (Fraction(1, 10), Fraction(1, 400))
+    assert bare.agents[0].values[2] != Fraction(1, 10)
+
+
+def test_decimal_exponent_beyond_the_guard():
+    # Each would take minutes in Fraction, which builds 10**(10**8) first.
+    with pytest.raises(ValueError, match=r"decimal exponent -100000000 is beyond \+-10,000"):
+        as_fraction("1.5e-100000000")
+    assert as_fraction(" -0.00e1_0000_0000 ") == 0
+    assert as_fraction("1e10000") == 10**10000
 
 
 def test_allocation_json_roundtrip():

@@ -1,12 +1,11 @@
-import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from nswlp import LinearProgram, full_enumeration_lp, gen, lpsolve, solve_lp
+from nswlp import lpsolve
+from nswlp.lpsolve import LinearProgram, solve_lp
 from conftest import lp_optimum_by_vertex_enumeration
 
 F = Fraction
@@ -203,22 +202,3 @@ def test_redundant_equalities_match_vertex_enumeration():
             assert exactly_feasible(prog, sol.values)
             assert sol.objective_value == pytest.approx(best, abs=1e-9)
     assert statuses == {"optimal", "infeasible"}
-
-
-GOLDEN = Path(__file__).parent / "data" / "full_enumeration_lp.json"
-
-
-@pytest.mark.parametrize(
-    "case", json.loads(GOLDEN.read_text()), ids=lambda c: "{agents}x{items}-{dist}-v{vmax}-s{seed}".format(**c)
-)
-def test_full_enumeration_vertex_pinned(case):
-    """Columns, masses and lp_value of ``full_enumeration_lp`` on
-    ``gen.random_solvable_instance(agents, items, Random(seed), dist,
-    vmax=vmax)``: the vertex of HiGHS's final basis over every column."""
-    inst = gen.random_solvable_instance(
-        case["agents"], case["items"], random.Random(case["seed"]), case["dist"], vmax=case["vmax"]
-    )
-    sol = full_enumeration_lp(inst)
-    assert [[c.agent, list(c.items)] for c in sol.columns] == case["columns"]
-    assert [str(y) for y in sol.mass] == case["mass"]
-    assert sol.lp_value == float(case["lp_value"])

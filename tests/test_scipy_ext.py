@@ -1,4 +1,5 @@
-"""The solve path loads two compiled scipy modules and never scipy.optimize.
+"""The solve path loads two compiled scipy modules and never scipy.optimize,
+nor the exact rational simplex.
 
 Each check runs in a fresh interpreter, because which modules a process has
 imported depends on everything imported before.
@@ -44,6 +45,28 @@ def test_solve_imports_no_scipy_optimize_or_sparse(tmp_path):
     assert not [k for k in loaded if k == "scipy.sparse" or k.startswith("scipy.sparse.")]
     assert "scipy.optimize._highspy._core" in loaded
     assert "scipy.optimize._lsap" in loaded
+
+
+def test_import_and_solve_leave_the_simplex_unloaded(tmp_path):
+    # The exact rational simplex (nswlp.lpsolve) is a reference: only
+    # solve_restricted_primal loads it.
+    inst = tmp_path / "i.json"
+    jsonio.save_instance(str(inst), make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]]))
+    out = run_python(
+        "import json, sys\n"
+        "loaded = lambda: 'nswlp.lpsolve' in sys.modules\n"
+        "seen = []\n"
+        "import nswlp\n"
+        "seen.append(loaded())\n"
+        "import nswlp.cli\n"
+        "seen.append(loaded())\n"
+        "code = nswlp.cli.main(['solve', sys.argv[1], '-o', sys.argv[2], '--report', sys.argv[3]])\n"
+        "seen.append(loaded())\n"
+        "from nswlp.lpsolve import LinearProgram, LpSolution, solve_lp\n"
+        "print(json.dumps([code, seen]))\n",
+        str(inst), str(tmp_path / "a.json"), str(tmp_path / "r.json"),
+    )
+    assert json.loads(out) == [0, [False, False, False]]
 
 
 SAME_MODULES = """

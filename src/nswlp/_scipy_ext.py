@@ -1,18 +1,19 @@
 """Load one compiled module of ``scipy.optimize`` without importing the package.
 
 ``import scipy.optimize`` loads every optimizer scipy ships, about half a
-second, while the solver needs two extension modules: the HiGHS binding
-(``_highspy._core``) and the assignment solver (``_lsap``).  :func:`load`
-executes only the named module from scipy's directory and registers it in
-``sys.modules`` under its canonical name, so a later ``import scipy.optimize``
-reuses the same module object; one imported before is returned as it is.
+second, and numpy with it, while the solver needs one extension module: the
+HiGHS binding (``_highspy._core``), which loads no numpy until an array
+crosses it.  :func:`load` executes only the named module from scipy's
+directory and registers it in ``sys.modules`` under its canonical name, so
+a later ``import scipy.optimize`` reuses the same module object; one
+imported before is returned as it is.
 
 The module is registered only in ``sys.modules``: no attribute is set on its
 parent package, and a later ``import scipy.optimize`` does not set one
-either, because it finds the module already loaded.  So
-``scipy.optimize._lsap`` is then no attribute of ``scipy.optimize``, while
-``import scipy.optimize._lsap as m`` and ``from scipy.optimize import
-linear_sum_assignment`` work as usual.
+either, because it finds the module already loaded.  So ``_core`` is then
+no attribute of ``scipy.optimize._highspy``, while ``import
+scipy.optimize._highspy._core as m`` and ``scipy.optimize.linprog`` work as
+usual.
 """
 
 from __future__ import annotations

@@ -23,7 +23,10 @@ simplex over a given pool (``solve_restricted_primal``), whose module
 
 HiGHS is scipy's compiled binding ``scipy.optimize._highspy._core``, loaded
 on its own (``_scipy_ext.load``) so that a solve never imports
-``scipy.optimize``.
+``scipy.optimize``.  A solve never imports numpy either: the model is
+built and read through the binding's scalar and list calls, and the market
+runs on lists.  Only the rounded DP and the ellipsoid import numpy, when
+they run.
 
 All bundle data and the final LP vertex stay rational; logarithms, the
 LP duals, the market and the ellipsoid work in doubles.  A pool column must
@@ -40,9 +43,9 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import _scipy_ext
 from .core import (
@@ -57,6 +60,8 @@ from .core import (
 from .reference import assignment_baseline
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .lpsolve import LinearProgram
 
 _highs = _scipy_ext.load("_highspy._core")
@@ -162,6 +167,8 @@ def _price(agent: Agent, items, shift: float) -> float:
 
 
 def _build_plans(instance: Instance, epsilon: float) -> list[_AgentPlan]:
+    import numpy as np
+
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(_EPS_RANGE_MSG)
     m = instance.num_items
@@ -213,6 +220,8 @@ def _sweep(z: np.ndarray, costs: np.ndarray, vals: np.ndarray, zcap: int):
     selection reaching t, its true (unrounded) value, and the per-item
     update bits used to reconstruct a selection.
     """
+    import numpy as np
+
     cost = np.full(zcap + 1, np.inf)
     cost[0] = 0.0
     val = np.zeros(zcap + 1)
@@ -261,6 +270,8 @@ def _oracle_query(
     # w_i * (ln_slack + ln(its guess's total)) - beta_i, and the totals
     # shrink along the guesses, so the first guess where that is <= 0 ends
     # the agent's search.
+    import numpy as np
+
     for plan in plans:
         beta_i = float(beta[plan.agent])
         for guess in plan.guesses:
@@ -298,6 +309,8 @@ def separation_oracle(
     TooLarge when one guess's DP table would exceed ``_SWEEP_MAX_BYTES``
     (a small epsilon), before any table is built.
     """
+    import numpy as np
+
     plans = _build_plans(instance, epsilon)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -335,6 +348,8 @@ def ellipsoid_run(
     only when every value is 0 or >= 1, so ``scaled`` must already be
     normalised (:func:`scale_values`); ValueError otherwise.
     """
+    import numpy as np
+
     if any(0 < v < 1 for a in scaled.agents for v in a.values):
         raise ValueError("instance must be scaled: values 0 or >= 1")
     plans = _build_plans(scaled, epsilon)
@@ -511,7 +526,9 @@ class _HighsLP:
     feasibility tolerance (default 1e-7).  ``_Highs`` is scipy's bundled
     binding, which is private and loaded by file path:
     ``tests/test_configlp.py`` pins every method called here and the sign
-    of the duals.
+    of the duals.  Only its scalar and list calls are used: the binding
+    converts an array argument (``addRows``, ``addCol``) with numpy, which
+    a solve would then import.
     """
 
     def __init__(self, n: int, m: int, tolerance: Optional[float] = None):
@@ -521,17 +538,23 @@ class _HighsLP:
             h.setOptionValue("primal_feasibility_tolerance", tolerance)
             h.setOptionValue("dual_feasibility_tolerance", tolerance)
         self._inf = h.getInfinity()
-        lower = np.concatenate([np.full(m, -self._inf), np.ones(n)])
-        h.addRows(
-            m + n, lower, np.ones(m + n), 0,
-            np.zeros(m + n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0),
-        )
+        rows = _highs.HighsLp()
+        rows.num_row_ = m + n
+        rows.row_lower_ = [-self._inf] * m + [1.0] * n
+        rows.row_upper_ = [1.0] * (m + n)
+        h.passModel(rows)
         self._h = h
         self._m = m
+        self._cols = 0
+        self.rounds = 0
 
     def add_column(self, cost: float, agent: int, items: tuple[int, ...]) -> None:
-        rows = np.asarray([*items, self._m + agent], dtype=np.int32)
-        self._h.addCol(cost, 0.0, self._inf, len(rows), rows, np.ones(len(rows)))
+        h, col = self._h, self._cols
+        h.addVar(0.0, self._inf)
+        h.changeColCost(col, cost)
+        for row in (*items, self._m + agent):
+            h.changeCoeff(row, col, 1.0)
+        self._cols += 1
 
     def basis(self) -> tuple[list[int], list[int]]:
         """The basic column indices, and the rows that are not basic, hence
@@ -541,18 +564,24 @@ class _HighsLP:
         tight = [r for r, s in enumerate(b.row_status) if s != HighsBasisStatus.kBasic]
         return basic, tight
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self) -> tuple[list[float], list[float]]:
         """Alpha (item duals, clipped at 0) and beta (agent duals) at the
-        optimum: HiGHS's row duals of the minimisation, negated."""
+        optimum: HiGHS's row duals of the minimisation, negated.  Raises
+        NumericalCollapse, naming this solve's round (1 for the first) and
+        HiGHS's simplex iteration count, when HiGHS reports no optimum."""
         h = self._h
         h.run()
+        self.rounds += 1
         status = h.getModelStatus()
         if status != HighsModelStatus.kOptimal:
-            raise NumericalCollapse(f"LP duals unavailable: {h.modelStatusToString(status)}")
-        sol = h.getSolution()
-        dual = np.asarray(sol.row_dual)
+            raise NumericalCollapse(
+                f"LP duals unavailable at driver round {self.rounds}: "
+                f"{h.modelStatusToString(status)} after "
+                f"{h.getInfo().simplex_iteration_count} simplex iterations"
+            )
+        dual = h.getSolution().row_dual
         m = self._m
-        return np.maximum(-dual[:m], 0.0), -dual[m:]
+        return [max(-d, 0.0) for d in dual[:m]], [-d for d in dual[m:]]
 
 
 def _basis_vertex(
@@ -719,8 +748,8 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
                 prices.append(_price(agent, cols[-1][1], 0.0))
                 model.add_column(-prices[-1], *cols[-1])
     alpha, beta = model.solve()
-    reduced = max(p - alpha[list(items)].sum() - beta[k] for (k, items), p in zip(cols, prices))
-    bound = float(alpha.sum() + beta.sum() + len(active) * max(0.0, reduced))
+    reduced = max(p - sum(alpha[j] for j in items) - beta[k] for (k, items), p in zip(cols, prices))
+    bound = sum(alpha) + sum(beta) + len(active) * max(0.0, reduced)
     return _certified_vertex(instance, active, work, cols, model, bound, 1e-9)
 
 
@@ -809,32 +838,69 @@ def _best_bundle(
     return items, value, max(upper, value, best)
 
 
-def _market_seed(work: Instance) -> tuple[np.ndarray, list[tuple[int, tuple[int, ...]]]]:
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """The pairwise sum of ``xs``: halves of at most 128 terms, each summed
+    in eight interleaved lanes.  Its rounding error grows as O(log n),
+    against O(n) for a running sum.  The order is numpy's float64 sum, bit
+    for bit, so the market and the driver's stop test round as a numpy
+    implementation of them does (``tests/conftest.py`` keeps one)."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    if n < 8:
+        return reduce(add, xs, -0.0)
+    tail = n - n % 8
+    r = [reduce(add, xs[k:tail:8]) for k in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, xs[tail:], total)
+
+
+def _market_seed(work: Instance) -> tuple[list[float], list[tuple[int, tuple[int, ...]]]]:
     """Fisher-market prices for ``work``'s items, and one bundle per agent.
 
     Runs ``_MARKET_ROUNDS`` rounds of proportional response (Wu & Zhang
     2007) with budgets w_i on the values of ``work``, starting from bids in
     proportion to value: each agent splits its budget over the items in
-    proportion to v_ij x_ij, where x_ij is its share of item j.  Returns
-    the prices p_j = sum_i b_ij and, for each agent, the items it holds
-    the largest share of (lowest agent index on ties) when it holds one.
+    proportion to v_ij x_ij, where x_ij = b_ij / p_j is its share of item j
+    (0 for an item nobody bids on).  Returns the prices p_j = sum_i b_ij
+    and, for each agent, the items it holds the largest share of (lowest
+    agent index on ties) when it holds one.  Every agent must value some
+    item.  When all of an agent's bids underflow to 0, its next bids are
+    0/0, nan as in IEEE division, so every price turns nan and no bundle is
+    seeded.
     """
-    vals = np.asarray([[q / d for q in ints] for ints, d in (a.int_values for a in work.agents)])
-    budget = np.asarray([float(a.weight) for a in work.agents])[:, None]
-    bids = budget * vals / vals.sum(axis=1, keepdims=True)
+    vals = [[q / d for q in ints] for ints, d in (a.int_values for a in work.agents)]
+    budget = [float(a.weight) for a in work.agents]
+
+    def respond(w: float, gain: list[float]) -> list[float]:
+        """Bids w g_j / sum(g), each computed as (w * g_j) / sum(g)."""
+        total = _pairwise_sum(gain)
+        if not total:
+            return [math.nan] * len(gain)
+        return list(map(truediv, map(mul, itertools.repeat(w), gain), itertools.repeat(total)))
+
+    def column_sums(rows: list[list[float]]) -> list[float]:
+        """Each column's sum, adding the rows in order from 0.0."""
+        sums = [0.0] * work.num_items
+        for row in rows:
+            sums = list(map(add, sums, row))
+        return sums
+
+    bids = [respond(w, row) for w, row in zip(budget, vals)]
     for _ in range(_MARKET_ROUNDS):
-        prices = bids.sum(axis=0)
-        share = np.divide(bids, prices, out=np.zeros_like(bids), where=prices > 0)
-        gain = vals * share
-        bids = budget * gain / gain.sum(axis=1, keepdims=True)
-    prices = bids.sum(axis=0)
-    holder = bids.argmax(axis=0)
-    seeds = []
-    for i in range(work.num_agents):
-        items = tuple(int(j) for j in np.flatnonzero((holder == i) & (prices > 0)))
-        if items:
-            seeds.append((i, items))
-    return prices, seeds
+        # Every bid on an item priced 0 is 0, and 0 / inf gives its share 0.
+        divisors = [p if p > 0 else math.inf for p in column_sums(bids)]
+        bids = [
+            respond(w, list(map(mul, row, map(truediv, bid, divisors))))
+            for w, row, bid in zip(budget, vals, bids)
+        ]
+    prices = column_sums(bids)
+    held: list[list[int]] = [[] for _ in bids]
+    for j, (p, col) in enumerate(zip(prices, zip(*bids))):
+        if p > 0:
+            held[col.index(max(col))].append(j)
+    return prices, [(i, tuple(items)) for i, items in enumerate(held) if items]
 
 
 # ---------------------------------------------------------------------------
@@ -918,12 +984,11 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     for key in cols:
         add(key)
     stop_gap = ln_slack + n * _PRICE_TOL
-    x_best = prices.tolist()
+    x_best = prices
     bound, _ = lagrangian(x_best)
     while True:
-        alpha, beta = model.solve()
-        master = float(alpha.sum() + beta.sum())
-        duals = alpha.tolist()
+        duals, beta = model.solve()
+        master = _pairwise_sum(duals) + _pairwise_sum(beta)
         found = []
         for x in ([(a + b) / 2.0 for a, b in zip(x_best, duals)], duals):
             if bound - master <= stop_gap:

@@ -7,7 +7,8 @@ Instance files look like::
 
 Weights and values accept either 'p/q' or decimal notation, as strings
 or bare JSON numbers; a bare number is read from its literal, as its
-string would be, so 0.1 is 1/10 and 1e-400 is not rounded to 0.
+string would be, so 0.1 is 1/10 and 1e-400 is not rounded to 0.  A bare
+integer past Python's int conversion limit is rejected, in any file.
 Serialization emits the canonical 'p/q' form.  Any other top-level key
 is rejected, so that no file is read silently in another value space or
 format.  The
@@ -19,6 +20,7 @@ Allocation files are ``{"owner": [agentIndex-or-null, ...]}``.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -30,6 +32,19 @@ def parse_rational(x: Any) -> Fraction:
         return as_fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InvalidInstance(f"bad rational {x!r}: {exc}") from exc
+
+
+def parse_int(literal: str) -> int:
+    """A bare JSON integer.  One longer than Python's limit on int
+    conversion (``sys.get_int_max_str_digits()``, 4,300 digits by default)
+    is ``InvalidInstance``."""
+    try:
+        return int(literal)
+    except ValueError as exc:
+        raise InvalidInstance(
+            f"bare integer of {len(literal.lstrip('-'))} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit on int conversion"
+        ) from exc
 
 
 def instance_to_obj(instance: Instance) -> dict:
@@ -99,7 +114,7 @@ def dumps(obj: dict) -> str:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_obj(json.load(fh, parse_float=parse_rational))
+        return instance_from_obj(json.load(fh, parse_float=parse_rational, parse_int=parse_int))
 
 
 def save_instance(path: str, instance: Instance) -> None:
@@ -109,4 +124,4 @@ def save_instance(path: str, instance: Instance) -> None:
 
 def load_allocation(path: str) -> Allocation:
     with open(path, "r", encoding="utf-8") as fh:
-        return allocation_from_obj(json.load(fh))
+        return allocation_from_obj(json.load(fh, parse_int=parse_int))

@@ -7,23 +7,21 @@ assignment as :func:`~nswlp.core.log_nsw` does, from each agent's exact int
 row, so the optimum it returns is the ``log_nsw`` of its allocation.  The
 one-item baseline runs on every solve: it seeds the LP driver's column pool
 and decides whether any allocation has positive welfare, with the
-assignment solver's own feasibility test.  That solver is scipy's ``_lsap``
-extension, loaded on its own so that ``scipy.optimize`` is never imported.
-Both solvers trust their instance: every :class:`~nswlp.core.Instance`
-is checked when it is made.
+assignment solver's own feasibility test.  That solver, ``_max_assignment``,
+is a Python port of the shortest augmenting path algorithm scipy's
+``linear_sum_assignment`` runs (Crouse 2016), so a solve loads neither
+numpy nor scipy's ``_lsap`` extension; it returns what scipy returns,
+feasibility included.  Both solvers trust their instance: every
+:class:`~nswlp.core.Instance` is checked when it is made.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+from typing import Optional
 
-import numpy as np
-
-from . import _scipy_ext
 from .core import Allocation, Infeasible, Instance, TooLarge, _augment, log_nsw
-
-linear_sum_assignment = _scipy_ext.load("_lsap").linear_sum_assignment
 
 BRUTE_FORCE_GUARD = 10_000_000
 
@@ -93,33 +91,87 @@ def positivity_check(instance: Instance) -> bool:
     )
 
 
+def _max_assignment(weight: list[list[float]]) -> Optional[list[int]]:
+    """The column of each row in an assignment of every row to a distinct
+    column with the largest total weight, or None when every such
+    assignment uses a -inf entry.  Needs no more rows than columns.
+
+    A port of scipy's ``linear_sum_assignment(weight, maximize=True)``
+    (Crouse 2016, shortest augmenting paths with dual potentials u, v on
+    the negated weights), step for step, so the same assignment comes out
+    on ties: each search fills ``remaining`` in reverse column order, and
+    among columns of equal path cost it takes an unassigned one.
+    """
+    cost = [[-x for x in row] for row in weight]
+    nc = len(cost[0]) if cost else 0
+    u, v = [0.0] * len(cost), [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * len(cost), [-1] * nc
+    for cur in range(len(cost)):
+        # Shortest augmenting path from row cur to an unassigned column.
+        min_val, i, sink = 0.0, cur, -1
+        remaining = list(range(nc - 1, -1, -1))
+        spc = [math.inf] * nc
+        seen_rows, seen_cols = [], []
+        while sink == -1:
+            seen_rows.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                return None
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:
     """Best one-item-per-agent assignment maximizing sum(w_i ln v_ij).
 
     Only positive-weight agents are matched, on edges with v_ij > 0; the
-    other edges cost -inf, so the assignment solver's own feasibility test
-    raises exactly when no such matching exists, and that becomes
+    other edges weigh -inf, so the assignment solver's own feasibility test
+    fails exactly when no such matching exists, and that becomes
     ``Infeasible``.  Values are taken as given, scaled or not; the instance
     was checked when it was made, so every value is a positive finite double
     or 0.  The resulting log welfare b brackets the configuration LP optimum
     within an additive ln(m).
     """
-    n, m = instance.num_agents, instance.num_items
-    rows = [i for i in range(n) if instance.agents[i].weight > 0]
-    if len(rows) > m:
+    m = instance.num_items
+    agents = [(i, float(a.weight), a.values) for i, a in enumerate(instance.agents)
+              if a.weight > 0]
+    if len(agents) > m:
         raise Infeasible("more positive-weight agents than items")
-    cost = np.full((len(rows), m), -math.inf)
-    for r, i in enumerate(rows):
-        w = float(instance.agents[i].weight)
-        for j, v in enumerate(instance.agents[i].values):
-            if v > 0:
-                cost[r, j] = w * math.log(float(v))
-    try:
-        row_ind, col_ind = linear_sum_assignment(cost, maximize=True)
-    except ValueError as exc:  # "cost matrix is infeasible"
-        raise Infeasible("no positive-value matching saturates all agents") from exc
+    weight = [[w * math.log(float(v)) if v > 0 else -math.inf for v in values]
+              for _, w, values in agents]
+    cols = _max_assignment(weight)
+    if cols is None:
+        raise Infeasible("no positive-value matching saturates all agents")
     owner: list[int | None] = [None] * m
-    for r, j in zip(row_ind, col_ind):
-        owner[j] = rows[r]
+    for (i, _, _), j in zip(agents, cols):
+        owner[j] = i
     alloc = Allocation(owner=tuple(owner))
     return alloc, log_nsw(instance, alloc)

@@ -81,6 +81,30 @@ def exhaustive_dual_violation(instance: Instance, alpha, beta):
     return None
 
 
+def market_seed_by_numpy(work: Instance, rounds: int):
+    """The Fisher-market seed as numpy computes it: ``rounds`` rounds of
+    proportional response, then the prices and each agent's items of
+    largest share (``configlp._market_seed``'s contract), as lists."""
+    import numpy as np
+
+    vals = np.asarray([[q / d for q in ints] for ints, d in (a.int_values for a in work.agents)])
+    budget = np.asarray([float(a.weight) for a in work.agents])[:, None]
+    bids = budget * vals / vals.sum(axis=1, keepdims=True)
+    for _ in range(rounds):
+        prices = bids.sum(axis=0)
+        share = np.divide(bids, prices, out=np.zeros_like(bids), where=prices > 0)
+        gain = vals * share
+        bids = budget * gain / gain.sum(axis=1, keepdims=True)
+    prices = bids.sum(axis=0)
+    holder = bids.argmax(axis=0)
+    seeds = []
+    for i in range(work.num_agents):
+        items = tuple(int(j) for j in np.flatnonzero((holder == i) & (prices > 0)))
+        if items:
+            seeds.append((i, items))
+    return prices.tolist(), seeds
+
+
 def cover_by_enumeration(units, costs, target):
     """Min-cost subset with unit sum >= target, by full enumeration."""
     best = None

@@ -330,8 +330,11 @@ HUGE_EXPONENT = "bad rational '1e100000000': decimal exponent 100000000 is beyon
          HUGE_EXPONENT),
         ('{"num_items": 2, "agents": [{"weight": "1", "values": [1e100000000, 1]}]}',
          HUGE_EXPONENT),
+        # Past Python's 4,300-digit limit on int conversion.
+        ('{"num_items": 2, "agents": [{"weight": "1", "values": [1%s, 1]}]}' % ("0" * 4400),
+         "bare integer of 4401 digits exceeds the 4300-digit limit"),
     ],
-    ids=["bool-items", "bare-tiny", "huge-exponent", "bare-huge-exponent"],
+    ids=["bool-items", "bare-tiny", "huge-exponent", "bare-huge-exponent", "bare-long-integer"],
 )
 def test_instance_spelling_errors_exit_code(tmp_path, capsys, text, shown):
     inst = tmp_path / "i.json"
@@ -352,8 +355,10 @@ def test_instance_spelling_errors_exit_code(tmp_path, capsys, text, shown):
         (None, "[Errno 2] No such file or directory"),
         ("{not json", "malformed JSON at line 1, column 2"),
         ('{"owner": 0}', "'owner' must be a list"),
+        ('{"owner": [1%s]}' % ("0" * 4400),
+         "bare integer of 4401 digits exceeds the 4300-digit limit"),
     ],
-    ids=["missing", "malformed", "not-a-list"],
+    ids=["missing", "malformed", "not-a-list", "long-integer"],
 )
 def test_verify_allocation_file_errors_name_the_file(tmp_path, capsys, content, shown):
     inst = tmp_path / "i.json"

@@ -35,6 +35,7 @@ from conftest import (
     cover_by_enumeration,
     exhaustive_dual_violation,
     knapsack_cover,
+    market_seed_by_numpy,
 )
 
 mpmath.mp.dps = 60
@@ -451,9 +452,9 @@ def test_full_enum_at_twelve_items_matches_the_simplex():
     "spoil",
     [
         # Dual feasible, 2e-3 above the optimum.
-        lambda alpha, beta: (alpha + 1e-3, beta),
+        lambda alpha, beta: ([a + 1e-3 for a in alpha], beta),
         # Dual infeasible: the largest reduced cost lifts the bound.
-        lambda alpha, beta: (0 * alpha, 0 * beta),
+        lambda alpha, beta: ([0.0] * len(alpha), [0.0] * len(beta)),
     ],
     ids=["raised-alpha", "zero-duals"],
 )
@@ -649,6 +650,39 @@ def test_pricer_node_budget_raises_naming_the_agent(monkeypatch):
         solve_configuration_lp(random_solvable_instance(4, 12, random.Random(3), "zipf"), 0.025)
 
 
+def test_pairwise_sum_is_numpy_sum_bit_for_bit():
+    rng = random.Random(17)
+    for n in range(1, 300):
+        xs = [rng.random() * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+        assert configlp._pairwise_sum(xs).hex() == float(np.asarray(xs).sum()).hex(), n
+
+
+def test_market_seed_matches_numpy():
+    # Zero values come from the low vmax draws and from zeroed entries;
+    # every agent keeps a positive value, as the driver's agents do.
+    rng = random.Random(23)
+    shapes = [(n, m) for n in (1, 2, 3, 5, 8) for m in range(n, 41)] + [(4, 150), (6, 300)]
+    for n, m in shapes:
+        inst = random_solvable_instance(
+            n, m, rng, rng.choice(["uniform", "zipf"]), vmax=rng.choice([1, 2, 10, 1000]),
+            weight_kind=rng.choice(["uniform", "dirichlet"]),
+        )
+        values = [list(a.values) for a in inst.agents]
+        for row in values:
+            for j in rng.sample(range(m), m // 3):
+                if sum(v > 0 for v in row) > 1:
+                    row[j] = 0
+        weights = [a.weight for a in inst.agents]
+        if n > 1 and rng.random() < 0.3:
+            # Two identical agents tie on every item; the lower index holds it.
+            values[1], weights = values[0], [Fraction(1, n)] * n
+        work = scale_values(make_instance(weights, values))
+        prices, seeds = configlp._market_seed(work)
+        ref_prices, ref_seeds = market_seed_by_numpy(work, configlp._MARKET_ROUNDS)
+        assert seeds == ref_seeds, (n, m)
+        assert [p.hex() for p in prices] == [p.hex() for p in ref_prices], (n, m)
+
+
 @pytest.mark.parametrize(
     "dist, parent_value",
     [pytest.param("uniform", 3.691339469502195, id="uniform"),
@@ -815,7 +849,10 @@ def test_solve_lp_highs_failure_raises(monkeypatch):
     monkeypatch.setattr(configlp, "_Highs", Failing)
     message = _Highs().modelStatusToString(HighsModelStatus.kSolveError)
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
-    with pytest.raises(NumericalCollapse, match=message):
+    with pytest.raises(
+        NumericalCollapse,
+        match=f"at driver round 1: {message} after [0-9]+ simplex iterations$",
+    ):
         solve_configuration_lp(inst, 0.1)
 
 
@@ -823,14 +860,17 @@ def test_solve_lp_highs_failure_raises(monkeypatch):
 
 # Every method configlp._HighsLP calls on scipy's private binding.
 HIGHS_METHODS = (
-    "setOptionValue", "getInfinity", "addRows", "addCol", "run",
-    "getModelStatus", "modelStatusToString", "getSolution", "getBasis",
+    "setOptionValue", "getInfinity", "passModel", "addVar", "changeColCost",
+    "changeCoeff", "run", "getModelStatus", "modelStatusToString", "getInfo",
+    "getSolution", "getBasis",
 )
 
 
 def test_highs_binding_surface_and_dual_signs():
     for name in HIGHS_METHODS:
         assert callable(getattr(_Highs, name, None)), name
+    rows = configlp._highs.HighsLp()
+    assert all(hasattr(rows, f) for f in ("num_row_", "row_lower_", "row_upper_"))
     assert HighsModelStatus.kOptimal != HighsModelStatus.kSolveError
     # Two agents, three items.  Maximise 4 y0{1} + 3 y1{2} + 4 y0{0}
     # + 2 y0{0,2} + 5 y1{0,1}.  The optimum puts 1/2 on every column but
@@ -864,7 +904,7 @@ def test_highs_binding_surface_and_dual_signs():
     alpha, beta = model.solve()
     y = vertex()
     assert y[cols[-1]] > 0
-    assert float(alpha.sum() + beta.sum()) == pytest.approx(
+    assert sum(alpha) + sum(beta) == pytest.approx(
         sum(c * float(y.get(key, 0)) for c, key in zip(objective, cols)), abs=1e-9
     )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -21,7 +22,7 @@ from nswlp import (
 )
 from nswlp import jsonio
 from nswlp.gen import random_solvable_instance
-from nswlp.reference import linear_sum_assignment
+from nswlp.reference import _max_assignment
 
 
 def test_brute_force_single_agent_takes_everything():
@@ -171,11 +172,42 @@ def test_baseline_infeasible_when_positivity_fails():
 
 def test_assignment_solver_rejects_infeasible_minus_inf_matrix():
     # assignment_baseline forbids zero-value edges with -inf and relies on
-    # the solver's own feasibility test under maximize=True.
-    with pytest.raises(ValueError, match="infeasible"):
-        linear_sum_assignment(np.array([[1.0, -np.inf], [2.0, -np.inf]]), maximize=True)
-    rows, cols = linear_sum_assignment(np.array([[-np.inf, 1.0], [2.0, -np.inf]]), maximize=True)
-    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+    # the solver's own feasibility test.
+    assert _max_assignment([[1.0, -math.inf], [2.0, -math.inf]]) is None
+    assert _max_assignment([[-math.inf, 1.0], [2.0, -math.inf]]) == [1, 0]
+
+
+def _scipy_max_assignment(weight, nr, nc):
+    """scipy's columns for ``weight`` maximised, or None where it calls the
+    matrix infeasible."""
+    try:
+        rows, cols = linear_sum_assignment(np.array(weight).reshape(nr, nc), maximize=True)
+    except ValueError as exc:
+        assert "infeasible" in str(exc)
+        return None
+    assert rows.tolist() == list(range(nr))
+    return cols.tolist()
+
+
+def test_assignment_solver_matches_scipy():
+    # Small integer weights make ties common, and the port must break them
+    # as scipy does; -inf entries make some matrices infeasible.
+    rng = random.Random(29)
+    infeasible = 0
+    for _ in range(2500):
+        nr = rng.randint(0, 6)
+        nc = rng.randint(max(nr, 1), 8)
+        forbid = rng.choice([0.0, 0.2, 0.5, 0.8])
+        top = rng.choice([1, 2, 3, 1000])
+        weight = [
+            [-math.inf if rng.random() < forbid else float(rng.randint(-top, top))
+             for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        expected = _scipy_max_assignment(weight, nr, nc)
+        assert _max_assignment(weight) == expected, weight
+        infeasible += expected is None
+    assert 200 < infeasible < 2000
 
 
 def _chain(n, t, big):

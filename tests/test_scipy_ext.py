@@ -1,5 +1,5 @@
-"""The solve path loads two compiled scipy modules and never scipy.optimize,
-nor the exact rational simplex.
+"""The solve path loads one compiled scipy module, HiGHS, and never
+scipy.optimize, numpy or the exact rational simplex.
 
 Each check runs in a fresh interpreter, because which modules a process has
 imported depends on everything imported before.
@@ -44,7 +44,51 @@ def test_solve_imports_no_scipy_optimize_or_sparse(tmp_path):
     assert "scipy.optimize" not in loaded
     assert not [k for k in loaded if k == "scipy.sparse" or k.startswith("scipy.sparse.")]
     assert "scipy.optimize._highspy._core" in loaded
-    assert "scipy.optimize._lsap" in loaded
+    assert "scipy.optimize._lsap" not in loaded
+
+
+def test_no_command_imports_numpy_or_lsap(tmp_path):
+    # numpy is imported only by the references that still use it (the
+    # rounded-DP separation oracle and the ellipsoid); scipy's assignment
+    # solver is replaced by reference._max_assignment.
+    inst, alloc = tmp_path / "i.json", tmp_path / "a.json"
+    jsonio.save_instance(str(inst), make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]]))
+    files = [str(inst), str(alloc), str(tmp_path / "r.json"), str(tmp_path / "g.json")]
+    out = run_python(
+        "import json, sys\n"
+        "inst, alloc, report, gen = sys.argv[1:5]\n"
+        "def loaded():\n"
+        "    return sorted(k for k in sys.modules\n"
+        "                  if k.startswith('numpy') or k == 'scipy.optimize._lsap')\n"
+        "seen = {}\n"
+        "import nswlp\n"
+        "seen['import nswlp'] = loaded()\n"
+        "import nswlp.cli\n"
+        "seen['import nswlp.cli'] = loaded()\n"
+        "solve = ['solve', inst, '-o', alloc, '--report', report]\n"
+        "commands = {\n"
+        "    'solve': solve,\n"
+        "    'solve sample': solve + ['--mode', 'sample', '--seed', '2'],\n"
+        "    'solve gift': solve + ['--gift-leftovers'],\n"
+        "    'verify': ['verify', inst, alloc, '-o', report],\n"
+        "    'exact': ['exact', inst, '-o', alloc, '--report', report],\n"
+        "    'gen': ['gen', '--agents', '3', '--items', '5', '-o', gen],\n"
+        "}\n"
+        "for name, argv in commands.items():\n"
+        "    seen[name] = [nswlp.cli.main(argv), loaded()]\n"
+        "print(json.dumps(seen))\n",
+        *files,
+    )
+    assert json.loads(out) == {
+        "import nswlp": [],
+        "import nswlp.cli": [],
+        "solve": [0, []],
+        "solve sample": [0, []],
+        "solve gift": [0, []],
+        "verify": [0, []],
+        "exact": [0, []],
+        "gen": [0, []],
+    }
 
 
 def test_import_and_solve_leave_the_simplex_unloaded(tmp_path):
@@ -71,14 +115,13 @@ def test_import_and_solve_leave_the_simplex_unloaded(tmp_path):
 
 SAME_MODULES = """
 import scipy.optimize._highspy._core as core
-import scipy.optimize._lsap as lsap
-from nswlp import configlp, reference
+from nswlp import configlp
 assert configlp._Highs is core._Highs
 assert configlp.HighsModelStatus is core.HighsModelStatus
-assert reference.linear_sum_assignment is scipy.optimize.linear_sum_assignment
-assert lsap.linear_sum_assignment is reference.linear_sum_assignment
 res = scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
 assert res.status == 0, res.message
+rows, cols = scipy.optimize.linear_sum_assignment([[1, 2], [3, 1]], maximize=True)
+assert cols.tolist() == [1, 0]
 print("ok")
 """
 

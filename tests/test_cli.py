@@ -695,3 +695,14 @@ def test_solve_sample_mode_output_pinned(tmp_path, seed):
     name = "deterministic" if seed is None else f"seed{seed}"
     assert alloc.read_bytes() == (SAMPLE_DIR / f"alloc_{name}.json").read_bytes()
     assert report.read_bytes() == (SAMPLE_DIR / f"report_{name}.json").read_bytes()
+
+
+def test_golden_cli_corpus_replays_byte_for_byte(tmp_path):
+    # tests/golden_cli.py documents the corpus and regenerates it.
+    from golden_cli import GOLDEN, RUNS, run_solve
+
+    cases = json.loads(GOLDEN.read_text())
+    assert len(cases) >= 40
+    for case in cases:
+        for key, flags in RUNS.items():
+            assert run_solve(tmp_path, case["instance"], flags) == case["runs"][key], (case["name"], key)

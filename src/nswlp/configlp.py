@@ -29,7 +29,12 @@ runs on lists.  Only the rounded DP and the ellipsoid import numpy, when
 they run.
 
 All bundle data and the final LP vertex stay rational; logarithms, the
-LP duals, the market and the ellipsoid work in doubles.  A pool column must
+LP duals, the market and the ellipsoid work in doubles.  Every float sum
+that decides something in the LP stage (a market price, the master value,
+the Lagrangian bound, a reduced cost) is ``math.fsum``: correctly rounded,
+so it depends neither on the order of its terms nor on the Python version
+(3.12's builtin ``sum`` compensates, 3.11's adds left to right).  Only the
+printed ``lp_value`` is a running sum.  A pool column must
 pass core's one column rule (``core._column_fault``), and every single
 column, in the HiGHS model, the exact LP, the pricer's best bundle, a
 verified cut or the ellipsoid, is priced by one function, ``_price``:
@@ -43,8 +48,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import _scipy_ext
@@ -663,13 +666,14 @@ def _certified_vertex(
     (work agent k is instance agent ``active[k]``).
 
     Raises NumericalCollapse when the basis is not an exactly feasible
-    vertex (:func:`_basis_vertex`), or when bound - lp_value > cap, both
-    in the value space of ``work``.
+    vertex (:func:`_basis_vertex`), or unless bound - lp_value <= cap, both
+    in the value space of ``work``: the check fails closed, so a nan bound
+    raises.
     """
     sol = _basis_vertex(work, cols, *model.basis())
     if sol is None:
         raise NumericalCollapse("HiGHS's final basis is not an exactly feasible vertex")
-    if bound - sol.lp_value > cap:
+    if not bound - sol.lp_value <= cap:
         raise NumericalCollapse(f"exact pool value {sol.lp_value!r} misses the dual bound {bound!r}")
     return _column_solution(instance, [(active[c.agent], c.items) for c in sol.columns], sol.mass)
 
@@ -748,8 +752,10 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
                 prices.append(_price(agent, cols[-1][1], 0.0))
                 model.add_column(-prices[-1], *cols[-1])
     alpha, beta = model.solve()
-    reduced = max(p - sum(alpha[j] for j in items) - beta[k] for (k, items), p in zip(cols, prices))
-    bound = sum(alpha) + sum(beta) + len(active) * max(0.0, reduced)
+    reduced = max(
+        p - math.fsum(alpha[j] for j in items) - beta[k] for (k, items), p in zip(cols, prices)
+    )
+    bound = math.fsum(alpha + beta) + len(active) * max(0.0, reduced)
     return _certified_vertex(instance, active, work, cols, model, bound, 1e-9)
 
 
@@ -834,26 +840,8 @@ def _best_bundle(
         picked.append(chosen[0])
         chosen = chosen[1]
     items = tuple(sorted(forced + [free[t] for t in picked]))
-    value = _price(agent, items, 0.0) - sum(x[j] for j in items)
+    value = _price(agent, items, 0.0) - math.fsum(x[j] for j in items)
     return items, value, max(upper, value, best)
-
-
-def _pairwise_sum(xs: Sequence[float]) -> float:
-    """The pairwise sum of ``xs``: halves of at most 128 terms, each summed
-    in eight interleaved lanes.  Its rounding error grows as O(log n),
-    against O(n) for a running sum.  The order is numpy's float64 sum, bit
-    for bit, so the market and the driver's stop test round as a numpy
-    implementation of them does (``tests/conftest.py`` keeps one)."""
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-    if n < 8:
-        return reduce(add, xs, -0.0)
-    tail = n - n % 8
-    r = [reduce(add, xs[k:tail:8]) for k in range(8)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, xs[tail:], total)
 
 
 def _market_seed(work: Instance) -> tuple[list[float], list[tuple[int, tuple[int, ...]]]]:
@@ -866,36 +854,32 @@ def _market_seed(work: Instance) -> tuple[list[float], list[tuple[int, tuple[int
     (0 for an item nobody bids on).  Returns the prices p_j = sum_i b_ij
     and, for each agent, the items it holds the largest share of (lowest
     agent index on ties) when it holds one.  Every agent must value some
-    item.  When all of an agent's bids underflow to 0, its next bids are
-    0/0, nan as in IEEE division, so every price turns nan and no bundle is
-    seeded.
+    item.  An agent whose gains sum to 0, because all its bids underflowed
+    to 0, bids 0 on every item from then on: it leaves the market, and the
+    prices stay finite and >= 0, where the Lagrangian bound is valid.  Every
+    sum is ``math.fsum``, so the prices do not depend on the order of the
+    agents or the items.
     """
     vals = [[q / d for q in ints] for ints, d in (a.int_values for a in work.agents)]
     budget = [float(a.weight) for a in work.agents]
 
     def respond(w: float, gain: list[float]) -> list[float]:
-        """Bids w g_j / sum(g), each computed as (w * g_j) / sum(g)."""
-        total = _pairwise_sum(gain)
+        """Bids w g_j / sum(g), each computed as (w * g_j) / sum(g), or 0
+        when sum(g) is 0."""
+        total = math.fsum(gain)
         if not total:
-            return [math.nan] * len(gain)
-        return list(map(truediv, map(mul, itertools.repeat(w), gain), itertools.repeat(total)))
-
-    def column_sums(rows: list[list[float]]) -> list[float]:
-        """Each column's sum, adding the rows in order from 0.0."""
-        sums = [0.0] * work.num_items
-        for row in rows:
-            sums = list(map(add, sums, row))
-        return sums
+            return [0.0] * len(gain)
+        return [(w * g) / total for g in gain]
 
     bids = [respond(w, row) for w, row in zip(budget, vals)]
     for _ in range(_MARKET_ROUNDS):
         # Every bid on an item priced 0 is 0, and 0 / inf gives its share 0.
-        divisors = [p if p > 0 else math.inf for p in column_sums(bids)]
+        divisors = [p if p > 0 else math.inf for p in map(math.fsum, zip(*bids))]
         bids = [
-            respond(w, list(map(mul, row, map(truediv, bid, divisors))))
+            respond(w, [v * (b / p) for v, b, p in zip(row, bid, divisors)])
             for w, row, bid in zip(budget, vals, bids)
         ]
-    prices = column_sums(bids)
+    prices = [math.fsum(col) for col in zip(*bids)]
     held: list[list[int]] = [[] for _ in bids]
     for j, (p, col) in enumerate(zip(prices, zip(*bids))):
         if p > 0:
@@ -928,6 +912,7 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     Each round re-solves the pool's LP in one warm-started HiGHS model for
     the duals (alpha per item, beta per agent) and stops when
     L(x*) - (sum(alpha) + sum(beta)) <= ln(1+eps/2) + n * _PRICE_TOL.
+    L(x), that master value and each reduced cost are ``math.fsum`` sums.
     Otherwise it prices every agent at (x* + alpha) / 2 and adds each best
     bundle violated at (alpha, beta + _PRICE_TOL); when there is none it
     prices at alpha itself, and when that finds none either it stops, since
@@ -937,7 +922,8 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     & Espinoza 2007): ``_basis_vertex`` eliminates its square 0/1 system on
     ints and checks the vertex exactly, and :func:`_certified_vertex`
     checks the certificate L(x*) - lp_value <= ln(1+eps/2) + n * _PRICE_TOL
-    + 1e-9.  The returned masses are exactly feasible.
+    + 1e-9, which a nan bound fails.  The returned masses are exactly
+    feasible.
 
     Raises NumericalCollapse when HiGHS does not report an optimum, the
     pricer re-prices a pooled column, the final basis is not an exactly
@@ -973,12 +959,12 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     def lagrangian(x: list[float]) -> tuple[float, list[tuple[int, tuple[int, ...], float]]]:
         """L(x), and each agent's best bundle at x with its price
         w_i ln v_i(S)."""
-        total, bundles = sum(x), []
+        uppers, bundles = [], []
         for k, agent in enumerate(work.agents):
             items, value, upper = _best_bundle(agent, active[k], x, ln_slack)
-            total += upper
-            bundles.append((k, items, value + sum(x[j] for j in items)))
-        return total, bundles
+            uppers.append(upper)
+            bundles.append((k, items, value + math.fsum(x[j] for j in items)))
+        return math.fsum(x + uppers), bundles
 
     pool = set(cols)
     for key in cols:
@@ -988,7 +974,7 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     bound, _ = lagrangian(x_best)
     while True:
         duals, beta = model.solve()
-        master = _pairwise_sum(duals) + _pairwise_sum(beta)
+        master = math.fsum(duals + beta)
         found = []
         for x in ([(a + b) / 2.0 for a, b in zip(x_best, duals)], duals):
             if bound - master <= stop_gap:
@@ -998,7 +984,7 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
                 bound, x_best = at_x, x
             found = [
                 (k, items) for k, items, price in bundles
-                if price - sum(duals[j] for j in items) > beta[k] + _PRICE_TOL
+                if price - math.fsum(duals[j] for j in items) > beta[k] + _PRICE_TOL
             ]
             if found:
                 break

@@ -1,6 +1,6 @@
 """The golden CLI corpus: instances and the exact output of ``nswlp solve``.
 
-``tests/data/golden_cli.json`` holds about forty instances inline, each with
+``tests/data/golden_cli.json`` holds 45 instances inline, each with
 three runs (default mode, ``--mode sample --seed 2`` and
 ``--gift-leftovers``): the exit code and the exact allocation, report and
 stderr text.  ``tests/test_cli.py`` replays every run through ``cli.main``
@@ -9,7 +9,7 @@ fails there.  A change meant to move outputs regenerates the file with
 
     PYTHONPATH=src python tests/golden_cli.py
 
-and lists each difference, with its welfare change, where it is recorded.
+and lists each difference, with its welfare change, in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,11 @@ import io
 import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+from nswlp.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -29,11 +32,6 @@ RUNS = {
     "sample_seed2": ["--mode", "sample", "--seed", "2"],
     "gift_leftovers": ["--gift-leftovers"],
 }
-
-
-def _gen_args(n, m, dist, vmax, weights, seed):
-    return ["--agents", str(n), "--items", str(m), "--dist", dist,
-            "--vmax", str(vmax), "--weights", weights, "--seed", str(seed)]
 
 
 def _hand_instances() -> list[tuple[str, dict]]:
@@ -75,39 +73,28 @@ def _hand_instances() -> list[tuple[str, dict]]:
     ]
 
 
-def _gen_instances(count: int = 36) -> list[tuple[str, dict]]:
-    """``gen`` draws with n 1-6, m up to 14, uniform and zipf, vmax 3, 10
+def _gen_instances() -> list[tuple[str, dict]]:
+    """36 ``gen`` draws with n 1-6, m up to 14, uniform and zipf, vmax 3, 10
     and 100, each written by ``nswlp gen`` and read back as JSON."""
-    from nswlp.cli import main
-
     rng = random.Random(31)
     out = []
-    with _scratch() as tmp:
-        for k in range(count):
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(36):
             n = rng.randint(1, 6)
-            args = _gen_args(n, rng.randint(n, 14), ("uniform", "zipf")[k % 2],
-                             (3, 10, 100)[k % 3], rng.choice(["uniform", "dirichlet"]), k)
-            path = tmp / f"g{k}.json"
+            args = ["--agents", str(n), "--items", str(rng.randint(n, 14)),
+                    "--dist", ("uniform", "zipf")[k % 2], "--vmax", str((3, 10, 100)[k % 3]),
+                    "--weights", rng.choice(["uniform", "dirichlet"]), "--seed", str(k)]
+            path = Path(tmp) / f"g{k}.json"
             if main(["gen", *args, "-o", str(path)]) != 0:
                 raise RuntimeError(f"gen {args} failed")
             out.append(("gen " + " ".join(args), json.loads(path.read_text())))
     return out
 
 
-@contextlib.contextmanager
-def _scratch():
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        yield Path(d)
-
-
 def run_solve(tmp: Path, instance: dict, flags: list[str]) -> dict:
     """One ``nswlp solve`` of ``instance`` through ``cli.main``: its exit
     code, and the allocation, report and stderr text (None for a file it
     did not write)."""
-    from nswlp.cli import main
-
     inst, alloc, report = tmp / "instance.json", tmp / "alloc.json", tmp / "report.json"
     for p in (alloc, report):
         p.unlink(missing_ok=True)
@@ -125,9 +112,9 @@ def run_solve(tmp: Path, instance: dict, flags: list[str]) -> dict:
 
 def build() -> list[dict]:
     cases = []
-    with _scratch() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         for name, instance in _gen_instances() + _hand_instances():
-            runs = {key: run_solve(tmp, instance, flags) for key, flags in RUNS.items()}
+            runs = {key: run_solve(Path(tmp), instance, flags) for key, flags in RUNS.items()}
             cases.append({"name": name, "instance": instance, "runs": runs})
     return cases
 

@@ -10,6 +10,7 @@ import pytest
 from nswlp import cli, configlp, gen, jsonio, make_instance, nsw
 from nswlp.cli import main, solve_pipeline
 from nswlp.gen import random_weights
+from golden_cli import GOLDEN, RUNS, run_solve
 
 
 def write_instance(path, weights, values):
@@ -699,8 +700,6 @@ def test_solve_sample_mode_output_pinned(tmp_path, seed):
 
 def test_golden_cli_corpus_replays_byte_for_byte(tmp_path):
     # tests/golden_cli.py documents the corpus and regenerates it.
-    from golden_cli import GOLDEN, RUNS, run_solve
-
     cases = json.loads(GOLDEN.read_text())
     assert len(cases) >= 40
     for case in cases:

@@ -650,13 +650,6 @@ def test_pricer_node_budget_raises_naming_the_agent(monkeypatch):
         solve_configuration_lp(random_solvable_instance(4, 12, random.Random(3), "zipf"), 0.025)
 
 
-def test_pairwise_sum_is_numpy_sum_bit_for_bit():
-    rng = random.Random(17)
-    for n in range(1, 300):
-        xs = [rng.random() * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
-        assert configlp._pairwise_sum(xs).hex() == float(np.asarray(xs).sum()).hex(), n
-
-
 def test_market_seed_matches_numpy():
     # Zero values come from the low vmax draws and from zeroed entries;
     # every agent keeps a positive value, as the driver's agents do.
@@ -680,7 +673,65 @@ def test_market_seed_matches_numpy():
         prices, seeds = configlp._market_seed(work)
         ref_prices, ref_seeds = market_seed_by_numpy(work, configlp._MARKET_ROUNDS)
         assert seeds == ref_seeds, (n, m)
-        assert [p.hex() for p in prices] == [p.hex() for p in ref_prices], (n, m)
+        # numpy adds pairwise, the market with math.fsum.
+        assert prices == pytest.approx(ref_prices, rel=1e-12, abs=0), (n, m)
+
+
+def test_market_prices_do_not_depend_on_agent_or_item_order():
+    # Every market sum is correctly rounded, so relabelling the agents and
+    # the items only permutes the prices, bit for bit.  Holdings are not
+    # compared: a tie goes to the lower agent index, which a relabelling
+    # moves.
+    rng = random.Random(29)
+    for draw in range(300):
+        n = rng.randint(2, 8)
+        m = rng.randint(n, 60)
+        inst = random_solvable_instance(
+            n, m, rng, rng.choice(["uniform", "zipf"]), vmax=rng.choice([10, 1000])
+        )
+        agents, items = rng.sample(range(n), n), rng.sample(range(m), m)
+        relabelled = make_instance(
+            [inst.agents[i].weight for i in agents],
+            [[inst.agents[i].values[j] for j in items] for i in agents],
+        )
+        prices, _ = configlp._market_seed(scale_values(inst))
+        moved, _ = configlp._market_seed(scale_values(relabelled))
+        back = [0.0] * m
+        for k, j in enumerate(items):
+            back[j] = moved[k]
+        assert [p.hex() for p in back] == [p.hex() for p in prices], draw
+
+
+def test_underflowing_market_agent_leaves_the_bound_finite(monkeypatch):
+    # Agent 0's first bids, 10**-323 / 5, underflow to 0, so its gains sum to
+    # 0 from round 1 on: it bids 0 and leaves the market, and the prices,
+    # hence the certified bound, stay finite.
+    tiny = Fraction(1, 10**323)
+    inst = make_instance([tiny, 1 - tiny], [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]])
+    prices, _ = configlp._market_seed(scale_values(inst))
+    assert all(math.isfinite(p) and p > 0 for p in prices)
+    bounds = []
+    certify = configlp._certified_vertex
+
+    def recording(*args):
+        bounds.append(args[5])
+        return certify(*args)
+
+    monkeypatch.setattr(configlp, "_certified_vertex", recording)
+    sol = solve_configuration_lp(inst, 0.025)
+    assert len(bounds) == 1 and math.isfinite(bounds[0])
+    assert sol.lp_value <= bounds[0] <= sol.lp_value + math.log1p(0.0125) + 2 * configlp._PRICE_TOL
+    assert [(c.agent, c.items) for c in sol.columns] == [(0, (0,)), (1, (1, 2, 3, 4))]
+
+
+def test_certificate_fails_closed_on_a_nan_bound(monkeypatch):
+    inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
+    certify = configlp._certified_vertex
+    monkeypatch.setattr(
+        configlp, "_certified_vertex", lambda *args: certify(*args[:5], math.nan, args[6])
+    )
+    with pytest.raises(NumericalCollapse, match="misses the dual bound nan"):
+        solve_configuration_lp(inst, 0.1)
 
 
 @pytest.mark.parametrize(

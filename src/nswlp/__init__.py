@@ -5,7 +5,7 @@ Fisher market and priced by an exact branch-and-bound pricer, stopped on a
 Lagrangian bound that the exact vertex is checked against) followed by
 value-ordered group rounding
 with an exact convex decomposition into matchings.  Reference solvers
-(brute force, positivity matching, one-item assignment baseline) certify
+(brute force, positivity matching, one-item baseline) certify
 the approximation at desk scale.
 """
 

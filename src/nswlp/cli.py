@@ -38,6 +38,7 @@ from .core import (
     InvalidInstance,
     NumericalCollapse,
     TooLarge,
+    _exp_welfare,
     log_nsw,
     nsw,
 )
@@ -91,11 +92,12 @@ def _welfare(instance: Instance, alloc: Allocation) -> dict:
 
 
 def _opt_nsw(instance: Instance, guard: int = BRUTE_FORCE_GUARD) -> Optional[float]:
-    """Brute-force optimum welfare, or None when n^m exceeds the guard."""
+    """Brute-force optimum welfare, or None when n^m exceeds the guard;
+    clamped below the double range's top as :func:`~nswlp.core.nsw` is."""
     if instance.num_agents**instance.num_items > min(guard, BRUTE_FORCE_GUARD):
         return None
     _, opt_lw = brute_force_opt(instance)
-    return 0.0 if opt_lw == -math.inf else math.exp(opt_lw)
+    return _exp_welfare(opt_lw)
 
 
 def _gift_leftovers(instance: Instance, alloc: Allocation) -> Allocation:
@@ -160,7 +162,7 @@ def cmd_solve(args) -> int:
         )
         lp_value, code = colsol.lp_value, EXIT_OK
     except Infeasible:
-        # The LP driver's assignment baseline found no positive-value
+        # The LP driver's one-item baseline found no positive-value
         # matching of the positive-weight agents.
         alloc, nmatch = Allocation(owner=(None,) * inst.num_items), 0
         lp_value, code = None, EXIT_NO_POSITIVE
@@ -169,7 +171,7 @@ def cmd_solve(args) -> int:
     report = _welfare(inst, alloc)
     report.update(lp_value=lp_value, epsilon=args.epsilon, matchings=nmatch, runtime_ms=runtime_ms)
     if lp_value is not None and report["nsw"] > 0:
-        report["lp_ratio"] = math.exp(lp_value) / report["nsw"]
+        report["lp_ratio"] = _exp_welfare(lp_value) / report["nsw"]
     _write(args.output, jsonio.dumps(jsonio.allocation_to_obj(alloc)))
     _write(args.report, jsonio.dumps(report))
     if code == EXIT_NO_POSITIVE:
@@ -197,7 +199,12 @@ def cmd_verify(args) -> int:
     if opt is not None:
         value = out["nsw"]
         out["opt_nsw"] = opt
-        out["ratio"] = opt / value if value > 0 else (1.0 if opt == 0 else math.inf)
+        # At positive welfare every positive-weight agent's bundle is worth
+        # at least its smallest positive value, and at most its total in the
+        # optimum; the instance check keeps that ratio a finite double, but
+        # the quotient of two rounded welfares can round past DBL_MAX.
+        out["ratio"] = (min(opt / value, sys.float_info.max) if value > 0
+                        else 1.0 if opt == 0 else None)
     _write(args.output, jsonio.dumps(out))
     return EXIT_OK
 
@@ -233,7 +240,7 @@ def _bench_one(task):
     row["runtime_ms"] = str(int((time.monotonic() - t0) * 1000))
     alg = nsw(inst, alloc)
     row["alg"] = repr(alg)
-    row["lp"] = repr(math.exp(colsol.lp_value))
+    row["lp"] = repr(_exp_welfare(colsol.lp_value))
     opt = _opt_nsw(inst)
     if opt is not None:
         row["opt"] = repr(opt)

@@ -898,11 +898,12 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     driver works on values divided so that each agent's minimum positive
     value is 1 (:func:`scale_values`), which shifts the LP value by a
     constant and keeps its vertices; the result is stated in the value
-    space of ``instance``.  The pool starts from the one-item assignment
-    baseline's singletons, every agent's best singleton and the market
-    seed (:func:`_market_seed`): for each agent, the items it holds the
-    largest share of after ``_MARKET_ROUNDS`` rounds of proportional
-    response.  HiGHS's costs are w_i ln v_i(S).
+    space of ``instance``.  The pool starts from the singletons of the
+    one-item baseline's positive matching (:func:`assignment_baseline`),
+    every agent's best singleton and the market seed
+    (:func:`_market_seed`): for each agent, the items it holds the largest
+    share of after ``_MARKET_ROUNDS`` rounds of proportional response.
+    HiGHS's costs are w_i ln v_i(S).
 
     For item prices x >= 0, L(x) = sum(x) + sum_i U_i(x) bounds the LP
     optimum from above (the Lagrangian bound of column generation), where
@@ -938,9 +939,10 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     eps_run = min(epsilon, 0.25)
     ln_slack = math.log1p(eps_run / 2.0)
     # Private normalisation (smallest positive value 1 per agent).  No step
-    # below needs it to be correct: it only conditions the doubles (the
-    # HiGHS costs and the baseline's), and dropping it changes which of
-    # several optimal vertices some solves return.
+    # below needs it to be correct: it only conditions the HiGHS costs (the
+    # baseline compares exact values, which it leaves in the same order),
+    # and dropping it changes which of several optimal vertices some solves
+    # return.
     active, work = _positive_weight(instance, scale_values(instance))
     # The baseline gives every agent a positive item (or raises Infeasible),
     # so every agent has a column and a row, and its singletons alone are a

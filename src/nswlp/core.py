@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -288,15 +289,25 @@ def log_nsw(instance: Instance, alloc: Allocation) -> float:
     return total
 
 
-def nsw(instance: Instance, alloc: Allocation) -> float:
-    """Weighted geometric-mean welfare, exp of log_nsw (0 at -inf)."""
-    lw = log_nsw(instance, alloc)
+_LN_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _exp_welfare(lw: float) -> float:
+    """The welfare of log welfare ``lw``: 0.0 at -inf, else exp(lw) with
+    ``lw`` clamped to ln(DBL_MAX).
+
+    Each agent's bundle total is a finite double and the weights sum to 1,
+    so every log welfare and every LP value is at most ln(DBL_MAX); only
+    rounding can carry the double past it, where exp would overflow.
+    """
     if lw == -math.inf:
         return 0.0
-    try:
-        return math.exp(lw)
-    except OverflowError:
-        return math.inf
+    return math.exp(min(lw, _LN_DBL_MAX))
+
+
+def nsw(instance: Instance, alloc: Allocation) -> float:
+    """Weighted geometric-mean welfare, exp of log_nsw (0 at -inf)."""
+    return _exp_welfare(log_nsw(instance, alloc))
 
 
 def scale_values(instance: Instance) -> Instance:
@@ -374,19 +385,21 @@ def _augment(
 ) -> bool:
     """Match the free row ``root`` by one shortest augmenting path (BFS).
 
-    ``adj[r]`` holds row r's columns in ascending order (rounding passes
-    dicts keyed by column) and ``radj[c]`` the rows whose ``adj`` holds
-    column c; ``col_of`` maps each row and ``row_of`` each column to its
-    partner, or -1.  ``near[r]`` counts the free columns in ``adj[r]``.
-    The search is breadth-first: rows are expanded in first-in first-out
-    order, each trying its columns in ascending order, and each column is
-    visited at most once.  A full search would end at the first free
-    column reached, which the first row in queue order with ``near > 0``
-    finds; that row is also the first such row discovered, so the search
-    stops when it discovers it, and the path ends at that row's smallest
-    free column.  The path changes as few rows as any augmenting path can.
-    The column it ends on is no longer free, so ``near`` drops by one at
-    every row in its ``radj``.  Each row whose column the path changes is
+    ``adj[r]`` holds row r's columns, tried in the order given: rounding
+    passes dicts keyed by column in ascending order, the positive matching
+    of :mod:`~nswlp.reference` lists by decreasing value.  ``radj[c]``
+    holds the rows whose ``adj`` holds column c; ``col_of`` maps each row
+    and ``row_of`` each column to its partner, or -1.  ``near[r]`` counts
+    the free columns in ``adj[r]``.  The search is breadth-first: rows are
+    expanded in first-in first-out order, each trying its columns in
+    ``adj`` order, and each column is visited at most once.  A full search
+    would end at the first free column reached, which the first row in
+    queue order with ``near > 0`` finds; that row is also the first such
+    row discovered, so the search stops when it discovers it, and the path
+    ends at that row's first free column in ``adj`` order.  The path
+    changes as few rows as any augmenting path can.  The column it ends on
+    is no longer free, so ``near`` drops by one at every row in its
+    ``radj``.  Each row whose column the path changes is
     appended to ``moved``.  Returns False when no path exists.
     """
     reached_from: dict[int, int] = {}  # column -> the row that tried it
@@ -407,7 +420,7 @@ def _augment(
             break
         else:
             return False  # no row the root reaches has a free column
-    for c in adj[r]:  # the path ends at r's smallest free column
+    for c in adj[r]:  # the path ends at r's first free column
         if row_of[c] < 0:
             break
     for q in radj[c]:

@@ -109,7 +109,7 @@ def allocation_from_obj(obj: Any) -> Allocation:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def load_instance(path: str) -> Instance:

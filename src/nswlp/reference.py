@@ -6,13 +6,10 @@ package's own augmenting-path matching.  Brute force scores every
 assignment as :func:`~nswlp.core.log_nsw` does, from each agent's exact int
 row, so the optimum it returns is the ``log_nsw`` of its allocation.  The
 one-item baseline runs on every solve: it seeds the LP driver's column pool
-and decides whether any allocation has positive welfare, with the
-assignment solver's own feasibility test.  That solver, ``_max_assignment``,
-is a Python port of the shortest augmenting path algorithm scipy's
-``linear_sum_assignment`` runs (Crouse 2016), so a solve loads neither
-numpy nor scipy's ``_lsap`` extension; it returns what scipy returns,
-feasibility included.  Both solvers trust their instance: every
-:class:`~nswlp.core.Instance` is checked when it is made.
+and decides whether any allocation has positive welfare.  The positivity
+check and the baseline share one matching, ``_positive_matching``, built
+with :func:`core._augment` on exact ints.  Both solvers trust their
+instance: every :class:`~nswlp.core.Instance` is checked when it is made.
 """
 
 from __future__ import annotations
@@ -62,116 +59,66 @@ def brute_force_opt(instance: Instance) -> tuple[Allocation, float]:
     return Allocation(owner=tuple(best)), best_lw
 
 
-def positivity_check(instance: Instance) -> bool:
-    """True iff the positive-weight agents can be matched to distinct items
-    they value positively (so some allocation has positive welfare).
+def _positive_matching(instance: Instance) -> Optional[list[int]]:
+    """The item of each agent (-1 for a zero-weight agent) in a matching of
+    the positive-weight agents to distinct items they value positively, or
+    None when no such matching exists.
 
-    The shortest augmenting-path search (:func:`core._augment`) matches the
-    agents one by one on the ``v > 0`` support; an agent left without a path
-    means no such matching exists.  Items start free, so each agent's
+    The agents are matched one by one, heaviest first (ties to the lower
+    index), each by one shortest augmenting path (:func:`core._augment`) on
+    the ``v > 0`` support; an agent left without a path means no matching
+    exists.  Each agent's adjacency lists its positive items by decreasing
+    value (ties to the lower index), so an agent with a free positive item
+    takes its most valuable one.  Items start free, so each agent's
     ``near`` (free items it values) starts at its count of positive values,
     and ``radj[j]`` lists the agents valuing item j, for the search to
-    decrement ``near`` when it takes j; the search stops at the first agent
-    it discovers with ``near > 0``.
+    decrement ``near`` when it takes j.
     """
-    adj = [
-        [j for j, v in enumerate(a.values) if v > 0]
-        for a in instance.agents
-        if a.weight > 0
-    ]
-    radj: list[list[int]] = [[] for _ in range(instance.num_items)]
+    agents, m = instance.agents, instance.num_items
+    # Python's sort is stable, also in reverse, so ties keep the lower index.
+    roots = sorted((i for i, a in enumerate(agents) if a.weight > 0),
+                   key=lambda i: agents[i].weight, reverse=True)
+    adj: list[list[int]] = [[] for _ in agents]
+    for i in roots:
+        ints = agents[i].int_values[0]
+        adj[i] = sorted((j for j in range(m) if ints[j] > 0), key=ints.__getitem__, reverse=True)
+    radj: list[list[int]] = [[] for _ in range(m)]
     for r, cols in enumerate(adj):
         for c in cols:
             radj[c].append(r)
     near = [len(cols) for cols in adj]  # every item starts free
-    col_of, row_of = [-1] * len(adj), [-1] * instance.num_items
+    col_of, row_of = [-1] * len(agents), [-1] * m
     moved: list[int] = []
-    return all(
-        _augment(adj, radj, near, col_of, row_of, r, moved) for r in range(len(adj))
-    )
+    for r in roots:
+        if not _augment(adj, radj, near, col_of, row_of, r, moved):
+            return None
+    return col_of
 
 
-def _max_assignment(weight: list[list[float]]) -> Optional[list[int]]:
-    """The column of each row in an assignment of every row to a distinct
-    column with the largest total weight, or None when every such
-    assignment uses a -inf entry.  Needs no more rows than columns.
-
-    A port of scipy's ``linear_sum_assignment(weight, maximize=True)``
-    (Crouse 2016, shortest augmenting paths with dual potentials u, v on
-    the negated weights), step for step, so the same assignment comes out
-    on ties: each search fills ``remaining`` in reverse column order, and
-    among columns of equal path cost it takes an unassigned one.
-    """
-    cost = [[-x for x in row] for row in weight]
-    nc = len(cost[0]) if cost else 0
-    u, v = [0.0] * len(cost), [0.0] * nc
-    path, col4row, row4col = [-1] * nc, [-1] * len(cost), [-1] * nc
-    for cur in range(len(cost)):
-        # Shortest augmenting path from row cur to an unassigned column.
-        min_val, i, sink = 0.0, cur, -1
-        remaining = list(range(nc - 1, -1, -1))
-        spc = [math.inf] * nc
-        seen_rows, seen_cols = [], []
-        while sink == -1:
-            seen_rows.append(i)
-            row, ui = cost[i], u[i]
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - ui - v[j]
-                if r < spc[j]:
-                    path[j] = i
-                    spc[j] = r
-                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
-                    lowest, index = spc[j], it
-            min_val = lowest
-            if min_val == math.inf:
-                return None
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            seen_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for i in seen_rows[1:]:
-            u[i] += min_val - spc[col4row[i]]
-        for j in seen_cols:
-            v[j] -= min_val - spc[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
+def positivity_check(instance: Instance) -> bool:
+    """True iff the positive-weight agents can be matched to distinct items
+    they value positively (so some allocation has positive welfare), as
+    decided by :func:`_positive_matching`."""
+    return _positive_matching(instance) is not None
 
 
 def assignment_baseline(instance: Instance) -> tuple[Allocation, float]:
-    """Best one-item-per-agent assignment maximizing sum(w_i ln v_ij).
+    """One positive item per positive-weight agent, and its log welfare.
 
-    Only positive-weight agents are matched, on edges with v_ij > 0; the
-    other edges weigh -inf, so the assignment solver's own feasibility test
-    fails exactly when no such matching exists, and that becomes
-    ``Infeasible``.  Values are taken as given, scaled or not; the instance
-    was checked when it was made, so every value is a positive finite double
-    or 0.  The resulting log welfare b brackets the configuration LP optimum
-    within an additive ln(m).
+    The allocation is :func:`_positive_matching`'s: heaviest agents first,
+    each taking its most valuable free positive item where one is left.
+    It raises ``Infeasible`` exactly when no allocation has positive
+    welfare.  It is not a maximum-weight assignment: the configuration LP
+    only needs each agent's singleton to make its first restricted LP
+    feasible.  No float arithmetic picks the items; only the returned
+    ``log_nsw`` is a double.
     """
-    m = instance.num_items
-    agents = [(i, float(a.weight), a.values) for i, a in enumerate(instance.agents)
-              if a.weight > 0]
-    if len(agents) > m:
-        raise Infeasible("more positive-weight agents than items")
-    weight = [[w * math.log(float(v)) if v > 0 else -math.inf for v in values]
-              for _, w, values in agents]
-    cols = _max_assignment(weight)
+    cols = _positive_matching(instance)
     if cols is None:
         raise Infeasible("no positive-value matching saturates all agents")
-    owner: list[int | None] = [None] * m
-    for (i, _, _), j in zip(agents, cols):
-        owner[j] = i
+    owner: list[int | None] = [None] * instance.num_items
+    for i, j in enumerate(cols):
+        if j >= 0:
+            owner[j] = i
     alloc = Allocation(owner=tuple(owner))
     return alloc, log_nsw(instance, alloc)

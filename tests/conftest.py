@@ -333,9 +333,9 @@ def full_bfs_augment(adj, col_of, row_of, root, moved):
     """Shortest augmenting path by a plain breadth-first search: the
     reference for ``core._augment``.
 
-    Rows are expanded first in, first out, each trying its columns in
-    ascending order and visiting each column once, and every row is
-    expanded until a free column is reached, which ends the path.  Each row
+    Rows are expanded first in, first out, each trying its columns in the
+    order ``adj`` lists them and visiting each column once, and every row
+    is expanded until a free column is reached, which ends the path.  Each row
     the path changes is appended to ``moved``, from the path's end back to
     the root.  Returns False, changing nothing, when no path exists.
     """
@@ -343,7 +343,7 @@ def full_bfs_augment(adj, col_of, row_of, root, moved):
     queue = collections.deque([root])
     while queue:
         r = queue.popleft()
-        for c in sorted(adj[r]):
+        for c in adj[r]:
             if c in parent:
                 continue
             parent[c] = r

@@ -1,6 +1,6 @@
 """The golden CLI corpus: instances and the exact output of ``nswlp solve``.
 
-``tests/data/golden_cli.json`` holds 45 instances inline, each with
+``tests/data/golden_cli.json`` holds 46 instances inline, each with
 three runs (default mode, ``--mode sample --seed 2`` and
 ``--gift-leftovers``): the exit code and the exact allocation, report and
 stderr text.  ``tests/test_cli.py`` replays every run through ``cli.main``
@@ -36,6 +36,7 @@ RUNS = {
 
 def _hand_instances() -> list[tuple[str, dict]]:
     tiny = Fraction(1, 10**323)
+    big = int(sys.float_info.max)
 
     def rows(name, weights, values):
         return name, {"num_items": len(values[0]), "agents": [
@@ -70,6 +71,10 @@ def _hand_instances() -> list[tuple[str, dict]]:
             {"weight": f"{tiny.numerator}/{tiny.denominator}", "values": ["1"] * 5},
             {"weight": f"{(1 - tiny).numerator}/{(1 - tiny).denominator}",
              "values": ["1", "2", "3", "4", "5"]}]}),
+        # Each agent values one item at the largest double's integer part:
+        # log welfare rounds one ulp above ln(DBL_MAX).
+        rows("dbl-max-diagonal", ["61/72", "7/180", "41/360"],
+             [[big if j == i else 0 for j in range(3)] for i in range(3)]),
     ]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -597,6 +598,77 @@ def test_exact_optimum_verifies_at_ratio_one(tmp_path):
     assert csv_path.read_text().splitlines()[1].split(",")[4] == "1.0"
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} in the output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# Each agent values one distinct item at the largest double's integer part,
+# so the weighted log sum rounds to 709.7827128933841, one ulp above
+# ln(DBL_MAX), where exp overflows; the welfare is clamped to
+# exp(ln(DBL_MAX)), a little below DBL_MAX.
+DBL_MAX_DIAGONAL = {"num_items": 3, "agents": [
+    {"weight": w, "values": [str(int(sys.float_info.max)) if j == i else "0" for j in range(3)]}
+    for i, w in enumerate(["61/72", "7/180", "41/360"])]}
+
+
+def test_dbl_max_diagonal_writes_strict_json_in_every_command(tmp_path):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    inst = d / "i.json"
+    inst.write_text(json.dumps(DBL_MAX_DIAGONAL))
+    big = math.exp(math.log(sys.float_info.max))
+    alloc, report = tmp_path / "a.json", tmp_path / "r.json"
+    assert main(["solve", str(inst), "-o", str(alloc), "--report", str(report)]) == 0
+    assert _strict_json(alloc.read_text()) == {"owner": [0, 1, 2]}
+    out = _strict_json(report.read_text())
+    assert out["log_nsw"] > math.log(sys.float_info.max)
+    assert (out["nsw"], out["lp_ratio"]) == (big, 1.0)
+    opt, opt_report = tmp_path / "o.json", tmp_path / "or.json"
+    assert main(["exact", str(inst), "-o", str(opt), "--report", str(opt_report)]) == 0
+    assert _strict_json(opt_report.read_text())["nsw"] == big
+    verdict = tmp_path / "v.json"
+    assert main(["verify", str(inst), str(opt), "-o", str(verdict)]) == 0
+    out = _strict_json(verdict.read_text())
+    assert (out["nsw"], out["opt_nsw"], out["ratio"]) == (big, big, 1.0)
+    csv_path = tmp_path / "b.csv"
+    assert main(["bench", str(d), "-o", str(csv_path)]) == 0
+    row = csv_path.read_text().splitlines()[1].split(",")
+    assert row[1:5] == [repr(big)] * 3 + ["1.0"]
+
+
+def test_verify_zero_welfare_ratio_is_null(tmp_path):
+    inst, alloc, verdict = (tmp_path / name for name in ("i.json", "a.json", "v.json"))
+    write_instance(inst, ["1/2", "1/2"], [[1, 1], [1, 1]])
+    alloc.write_text(json.dumps({"owner": [0, 0]}))
+    assert main(["verify", str(inst), str(alloc), "-o", str(verdict)]) == 0
+    out = _strict_json(verdict.read_text())
+    assert out == {"nsw": 0.0, "log_nsw": None, "opt_nsw": 1.0, "ratio": None}
+
+
+def test_verify_ratio_stays_finite_at_the_top_of_the_double_range(tmp_path):
+    # total / smallest value is M + 1, which rounds to the largest double
+    # M, so the instance is valid; the optimum's welfare over 1/2 rounds
+    # past M.
+    big = int(sys.float_info.max)
+    inst, alloc, verdict = (tmp_path / name for name in ("i.json", "a.json", "v.json"))
+    inst.write_text(json.dumps({"num_items": 2, "agents": [
+        {"weight": "1", "values": ["1/2", str(big // 2)]}]}))
+    alloc.write_text(json.dumps({"owner": [0, None]}))
+    assert main(["verify", str(inst), str(alloc), "-o", str(verdict)]) == 0
+    out = _strict_json(verdict.read_text())
+    assert out["opt_nsw"] / out["nsw"] == math.inf
+    assert out["ratio"] == sys.float_info.max
+
+
+def test_dumps_rejects_non_finite_floats():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            jsonio.dumps({"x": x})
+
+
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_stdout_matches_output_files(tmp_path, capsys, command):
     d = tmp_path / "corpus"
@@ -674,7 +746,7 @@ def test_bench_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 # `gen --agents 10 --items 30 --dist zipf --seed 1`: its LP is fractional, so
-# the combination has 17 matchings and the draws pick different ones.
+# the combination has 7 matchings and the draws pick different ones.
 SAMPLE_DIR = Path(__file__).parent / "data" / "sample_zipf_10x30"
 
 

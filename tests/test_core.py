@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from nswlp import (
     validate,
 )
 from nswlp import jsonio
-from nswlp.core import _augment
+from nswlp.core import _augment, _exp_welfare
 from conftest import ef1_by_quantifiers, free_counts, full_bfs_augment, transpose
 
 
@@ -157,6 +158,14 @@ def test_log_nsw_permutation_equivariance():
             assert b == -math.inf
         else:
             assert b == pytest.approx(a, abs=1e-12)
+
+
+def test_exp_welfare_clamps_at_ln_dbl_max():
+    ln_max = math.log(sys.float_info.max)
+    assert _exp_welfare(-math.inf) == 0.0
+    assert _exp_welfare(1.5) == math.exp(1.5)
+    above = math.nextafter(ln_max, math.inf)
+    assert _exp_welfare(above) == _exp_welfare(ln_max) == math.exp(ln_max)
 
 
 def test_nsw_matches_exp_of_log():
@@ -340,10 +349,12 @@ def test_malformed_instance_rejected():
 
 @st.composite
 def augment_cases(draw):
-    """A bipartite graph with ascending adjacency, a partial matching on its
-    edges and a free root row: (adj, col_of, row_of, root, as_dicts)."""
+    """A bipartite graph whose rows list their columns in any order, a
+    partial matching on its edges and a free root row: (adj, col_of, row_of,
+    root, as_dicts)."""
     rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    adj = [sorted(draw(st.sets(st.integers(0, cols - 1)))) for _ in range(rows)]
+    adj = [draw(st.permutations(sorted(draw(st.sets(st.integers(0, cols - 1))))))
+           for _ in range(rows)]
     root = draw(st.integers(0, rows - 1))
     col_of, row_of = [-1] * rows, [-1] * cols
     for r in range(rows):
@@ -356,8 +367,11 @@ def augment_cases(draw):
 
 
 @given(augment_cases())
-# Every column free: the root takes its smallest column.
+# Every column free: the root takes its first column.
 @example(([[1, 2], [0, 2]], [-1, -1], [-1, -1, -1], 0, False))
+@example(([[2, 1], [0, 2]], [-1, -1], [-1, -1, -1], 0, True))
+# The path ends at the goal row's first free column, not its smallest.
+@example(([[0], [0, 3, 1]], [-1, 0], [1, -1, -1, -1], 0, False))
 # No path: the root's only column is held by a row with no other.
 @example(([[0], [0]], [-1, 0], [1], 0, False))
 # No path: the root has no columns at all.

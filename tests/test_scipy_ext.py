@@ -49,8 +49,9 @@ def test_solve_imports_no_scipy_optimize_or_sparse(tmp_path):
 
 def test_no_command_imports_numpy_or_lsap(tmp_path):
     # numpy is imported only by the references that still use it (the
-    # rounded-DP separation oracle and the ellipsoid); scipy's assignment
-    # solver is replaced by reference._max_assignment.
+    # rounded-DP separation oracle and the ellipsoid); the one-item
+    # baseline needs no assignment solver, only the package's own
+    # augmenting-path matching.
     inst, alloc = tmp_path / "i.json", tmp_path / "a.json"
     jsonio.save_instance(str(inst), make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]]))
     files = [str(inst), str(alloc), str(tmp_path / "r.json"), str(tmp_path / "g.json")]

@@ -88,7 +88,7 @@ def _write(path: Optional[str], text: str) -> None:
 def _welfare(instance: Instance, alloc: Allocation) -> dict:
     """``nsw`` and ``log_nsw`` (``None`` at zero welfare) from exact bundle sums."""
     lw = log_nsw(instance, alloc)
-    return {"nsw": nsw(instance, alloc), "log_nsw": None if lw == -math.inf else lw}
+    return {"nsw": _exp_welfare(lw), "log_nsw": None if lw == -math.inf else lw}
 
 
 def _opt_nsw(instance: Instance, guard: int = BRUTE_FORCE_GUARD) -> Optional[float]:

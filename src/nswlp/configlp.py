@@ -3,14 +3,14 @@
 The LP has one variable y[i,S] per agent/bundle pair, so it is solved by
 column generation.  One HiGHS model holds the restricted primal over a pool
 of bundles; each round adds the new columns and re-solves it warm from the
-last basis, in doubles, for its duals.  The pool is seeded from a Fisher
-market: a few rounds of proportional response give item prices, and each
-agent's bundle is the items it holds the largest share of.  One exact
-branch-and-bound pricer (``_best_bundle``) gives each agent's best bundle
-at a price vector and an upper bound on its value, so every pricing pass
-also gives a Lagrangian bound on the LP; the driver stops when the best
-such bound is within ln(1+eps/2) of the master, or when a pass at the
-duals finds no violated column.  One exact stage ends both the driver
+last basis, in doubles, for its duals.  One exact branch-and-bound pricer
+(``_best_bundle``) gives each agent's best bundle at a price vector and an
+upper bound on its value, so every pricing pass also gives a Lagrangian
+bound on the LP.  The first pass runs at Fisher-market prices (a few
+rounds of proportional response), and its bundles seed the pool with the
+one-item baseline and each agent's best singleton.  The driver stops when
+the best such bound is within ln(1+eps/2) of the master, or when a pass
+at the duals finds no violated column.  One exact stage ends both the driver
 and the reference ``full_enumeration_lp``: HiGHS's final basis is solved
 once in exact integer arithmetic, and its vertex must be exactly feasible
 and its value within a cap of the dual bound, or the solve raises
@@ -57,7 +57,6 @@ from .core import (
     Instance,
     NumericalCollapse,
     TooLarge,
-    _column_fault,
     scale_values,
 )
 from .reference import assignment_baseline
@@ -499,15 +498,11 @@ def _augment_columns(
     """The valid ``columns`` plus each positive-weight agent's best
     singleton, sorted.  A zero-weight agent takes no part: its columns are
     checked, then dropped."""
-    n, m = instance.num_agents, instance.num_items
     pool: dict[tuple[int, tuple[int, ...]], None] = {}
     for i, items in columns:
         key = (i, tuple(sorted(items)))
         if not key[1]:
             raise ValueError("empty column")
-        why = _column_fault(n, m, *key)
-        if why is not None:
-            raise ValueError(f"column {key} has {why}")
         if instance.bundle_value(*key) <= 0:
             raise ValueError("zero-value column")
         if instance.agents[i].weight > 0:
@@ -844,21 +839,19 @@ def _best_bundle(
     return items, value, max(upper, value, best)
 
 
-def _market_seed(work: Instance) -> tuple[list[float], list[tuple[int, tuple[int, ...]]]]:
-    """Fisher-market prices for ``work``'s items, and one bundle per agent.
+def _market_seed(work: Instance) -> list[float]:
+    """Fisher-market prices for ``work``'s items.
 
     Runs ``_MARKET_ROUNDS`` rounds of proportional response (Wu & Zhang
     2007) with budgets w_i on the values of ``work``, starting from bids in
     proportion to value: each agent splits its budget over the items in
     proportion to v_ij x_ij, where x_ij = b_ij / p_j is its share of item j
-    (0 for an item nobody bids on).  Returns the prices p_j = sum_i b_ij
-    and, for each agent, the items it holds the largest share of (lowest
-    agent index on ties) when it holds one.  Every agent must value some
-    item.  An agent whose gains sum to 0, because all its bids underflowed
-    to 0, bids 0 on every item from then on: it leaves the market, and the
-    prices stay finite and >= 0, where the Lagrangian bound is valid.  Every
-    sum is ``math.fsum``, so the prices do not depend on the order of the
-    agents or the items.
+    (0 for an item nobody bids on).  Returns the prices p_j = sum_i b_ij.
+    Every agent must value some item.  An agent whose gains sum to 0,
+    because all its bids underflowed to 0, bids 0 on every item from then
+    on: it leaves the market, and the prices stay finite and >= 0, where
+    the Lagrangian bound is valid.  Every sum is ``math.fsum``, so the
+    prices do not depend on the order of the agents or the items.
     """
     vals = [[q / d for q in ints] for ints, d in (a.int_values for a in work.agents)]
     budget = [float(a.weight) for a in work.agents]
@@ -879,12 +872,7 @@ def _market_seed(work: Instance) -> tuple[list[float], list[tuple[int, tuple[int
             respond(w, [v * (b / p) for v, b, p in zip(row, bid, divisors)])
             for w, row, bid in zip(budget, vals, bids)
         ]
-    prices = [math.fsum(col) for col in zip(*bids)]
-    held: list[list[int]] = [[] for _ in bids]
-    for j, (p, col) in enumerate(zip(prices, zip(*bids))):
-        if p > 0:
-            held[col.index(max(col))].append(j)
-    return prices, [(i, tuple(items)) for i, items in enumerate(held) if items]
+    return [math.fsum(col) for col in zip(*bids)]
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +888,10 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     constant and keeps its vertices; the result is stated in the value
     space of ``instance``.  The pool starts from the singletons of the
     one-item baseline's positive matching (:func:`assignment_baseline`),
-    every agent's best singleton and the market seed
-    (:func:`_market_seed`): for each agent, the items it holds the largest
-    share of after ``_MARKET_ROUNDS`` rounds of proportional response.
-    HiGHS's costs are w_i ln v_i(S).
+    every agent's best singleton and each agent's best bundle at the
+    Fisher-market prices of ``_MARKET_ROUNDS`` rounds of proportional
+    response (:func:`_market_seed`), the pricer's first pass.  HiGHS's
+    costs are w_i ln v_i(S).
 
     For item prices x >= 0, L(x) = sum(x) + sum_i U_i(x) bounds the LP
     optimum from above (the Lagrangian bound of column generation), where
@@ -949,8 +937,6 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     # feasible pool.
     base_alloc, _ = assignment_baseline(work)
     baseline = [(owner, (j,)) for j, owner in enumerate(base_alloc.owner) if owner is not None]
-    prices, seeds = _market_seed(work)
-    cols = _augment_columns(work, baseline + seeds)
     n, m = work.num_agents, work.num_items
     model = _HighsLP(n, m)
 
@@ -968,12 +954,13 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
             bundles.append((k, items, value + math.fsum(x[j] for j in items)))
         return math.fsum(x + uppers), bundles
 
+    x_best = _market_seed(work)
+    bound, bundles = lagrangian(x_best)
+    cols = _augment_columns(work, baseline + [(k, items) for k, items, _ in bundles])
     pool = set(cols)
     for key in cols:
         add(key)
     stop_gap = ln_slack + n * _PRICE_TOL
-    x_best = prices
-    bound, _ = lagrangian(x_best)
     while True:
         duals, beta = model.solve()
         master = math.fsum(duals + beta)

@@ -82,9 +82,9 @@ def exhaustive_dual_violation(instance: Instance, alpha, beta):
 
 
 def market_seed_by_numpy(work: Instance, rounds: int):
-    """The Fisher-market seed as numpy computes it: ``rounds`` rounds of
-    proportional response, then the prices and each agent's items of
-    largest share (``configlp._market_seed``'s contract), as lists."""
+    """The Fisher-market prices as numpy computes them: ``rounds`` rounds
+    of proportional response (``configlp._market_seed``'s contract), as a
+    list."""
     import numpy as np
 
     vals = np.asarray([[q / d for q in ints] for ints, d in (a.int_values for a in work.agents)])
@@ -95,14 +95,7 @@ def market_seed_by_numpy(work: Instance, rounds: int):
         share = np.divide(bids, prices, out=np.zeros_like(bids), where=prices > 0)
         gain = vals * share
         bids = budget * gain / gain.sum(axis=1, keepdims=True)
-    prices = bids.sum(axis=0)
-    holder = bids.argmax(axis=0)
-    seeds = []
-    for i in range(work.num_agents):
-        items = tuple(int(j) for j in np.flatnonzero((holder == i) & (prices > 0)))
-        if items:
-            seeds.append((i, items))
-    return prices.tolist(), seeds
+    return bids.sum(axis=0).tolist()
 
 
 def cover_by_enumeration(units, costs, target):

@@ -10,6 +10,9 @@ fails there.  A change meant to move outputs regenerates the file with
     PYTHONPATH=src python tests/golden_cli.py
 
 and lists each difference, with its welfare change, in ``CHANGES.md``.
+For every run whose output differs from the file it replaces, the script
+prints one stderr line: the instance name, the mode, and ``log_nsw`` and
+``lp_value`` before and after.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from nswlp.cli import main
 
@@ -124,6 +128,27 @@ def build() -> list[dict]:
     return cases
 
 
+def _values(run: Optional[dict]) -> tuple:
+    """``log_nsw`` and ``lp_value`` of a run's report (None without one)."""
+    report = json.loads(run["report"]) if run and run["report"] else {}
+    return report.get("log_nsw"), report.get("lp_value")
+
+
+def report_changes(old: list[dict], new: list[dict]) -> None:
+    """One stderr line per run of ``new`` that differs from ``old``'s run of
+    the same instance and mode."""
+    before = {case["name"]: case["runs"] for case in old}
+    for case in new:
+        for key, run in case["runs"].items():
+            was = before.get(case["name"], {}).get(key)
+            if run != was:
+                (lw0, lp0), (lw1, lp1) = _values(was), _values(run)
+                print(f"changed: {case['name']} [{key}] log_nsw {lw0} -> {lw1}, "
+                      f"lp_value {lp0} -> {lp1}", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(build(), indent=1) + "\n")
+    cases = build()
+    report_changes(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else [], cases)
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -746,7 +746,8 @@ def test_bench_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 # `gen --agents 10 --items 30 --dist zipf --seed 1`: its LP is fractional, so
-# the combination has 7 matchings and the draws pick different ones.
+# the combination has 3 matchings, and the five draws give 2 different
+# allocations.
 SAMPLE_DIR = Path(__file__).parent / "data" / "sample_zipf_10x30"
 
 

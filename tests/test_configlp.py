@@ -667,21 +667,18 @@ def test_market_seed_matches_numpy():
                     row[j] = 0
         weights = [a.weight for a in inst.agents]
         if n > 1 and rng.random() < 0.3:
-            # Two identical agents tie on every item; the lower index holds it.
+            # Two identical agents bid alike on every item.
             values[1], weights = values[0], [Fraction(1, n)] * n
         work = scale_values(make_instance(weights, values))
-        prices, seeds = configlp._market_seed(work)
-        ref_prices, ref_seeds = market_seed_by_numpy(work, configlp._MARKET_ROUNDS)
-        assert seeds == ref_seeds, (n, m)
+        prices = configlp._market_seed(work)
+        ref_prices = market_seed_by_numpy(work, configlp._MARKET_ROUNDS)
         # numpy adds pairwise, the market with math.fsum.
         assert prices == pytest.approx(ref_prices, rel=1e-12, abs=0), (n, m)
 
 
 def test_market_prices_do_not_depend_on_agent_or_item_order():
     # Every market sum is correctly rounded, so relabelling the agents and
-    # the items only permutes the prices, bit for bit.  Holdings are not
-    # compared: a tie goes to the lower agent index, which a relabelling
-    # moves.
+    # the items only permutes the prices, bit for bit.
     rng = random.Random(29)
     for draw in range(300):
         n = rng.randint(2, 8)
@@ -694,8 +691,8 @@ def test_market_prices_do_not_depend_on_agent_or_item_order():
             [inst.agents[i].weight for i in agents],
             [[inst.agents[i].values[j] for j in items] for i in agents],
         )
-        prices, _ = configlp._market_seed(scale_values(inst))
-        moved, _ = configlp._market_seed(scale_values(relabelled))
+        prices = configlp._market_seed(scale_values(inst))
+        moved = configlp._market_seed(scale_values(relabelled))
         back = [0.0] * m
         for k, j in enumerate(items):
             back[j] = moved[k]
@@ -708,7 +705,7 @@ def test_underflowing_market_agent_leaves_the_bound_finite(monkeypatch):
     # hence the certified bound, stay finite.
     tiny = Fraction(1, 10**323)
     inst = make_instance([tiny, 1 - tiny], [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]])
-    prices, _ = configlp._market_seed(scale_values(inst))
+    prices = configlp._market_seed(scale_values(inst))
     assert all(math.isfinite(p) and p > 0 for p in prices)
     bounds = []
     certify = configlp._certified_vertex
@@ -722,6 +719,56 @@ def test_underflowing_market_agent_leaves_the_bound_finite(monkeypatch):
     assert len(bounds) == 1 and math.isfinite(bounds[0])
     assert sol.lp_value <= bounds[0] <= sol.lp_value + math.log1p(0.0125) + 2 * configlp._PRICE_TOL
     assert [(c.agent, c.items) for c in sol.columns] == [(0, (0,)), (1, (1, 2, 3, 4))]
+
+
+def test_first_pool_is_the_pricers_bundles_at_the_market_prices(monkeypatch):
+    # Before the first HiGHS solve the driver prices each agent once, at the
+    # market prices, and pools the baseline's singletons, each agent's best
+    # singleton and those best bundles: no other seeding rule.
+    class FirstSolve(Exception):
+        pass
+
+    best_bundle, add_column = configlp._best_bundle, configlp._HighsLP.add_column
+    added, priced = [], []
+
+    def adding(self, cost, agent, items):
+        added.append((agent, tuple(items)))
+        return add_column(self, cost, agent, items)
+
+    def pricing(*args):
+        priced.append(args[1])
+        return best_bundle(*args)
+
+    def solving(self):
+        raise FirstSolve
+
+    monkeypatch.setattr(configlp._HighsLP, "add_column", adding)
+    monkeypatch.setattr(configlp._HighsLP, "solve", solving)
+    monkeypatch.setattr(configlp, "_best_bundle", pricing)
+    rng = random.Random(41)
+    for draw in range(40):
+        n = rng.randint(1, 6)
+        m = rng.randint(n, 14)
+        inst = random_solvable_instance(
+            n, m, rng, rng.choice(["uniform", "zipf"]), vmax=rng.choice([3, 10, 100]),
+            weight_kind=rng.choice(["uniform", "dirichlet"]),
+        )
+        epsilon = rng.choice([0.025, 0.1, 1.0])
+        added.clear()
+        priced.clear()
+        with pytest.raises(FirstSolve):
+            solve_configuration_lp(inst, epsilon)
+        active, work = configlp._positive_weight(inst, scale_values(inst))
+        base_alloc, _ = configlp.assignment_baseline(work)
+        baseline = [(i, (j,)) for j, i in enumerate(base_alloc.owner) if i is not None]
+        prices = configlp._market_seed(work)
+        ln_slack = math.log1p(min(epsilon, 0.25) / 2.0)
+        best = [
+            (k, best_bundle(agent, active[k], prices, ln_slack)[0])
+            for k, agent in enumerate(work.agents)
+        ]
+        assert added == configlp._augment_columns(work, baseline + best), draw
+        assert priced == active, draw
 
 
 def test_certificate_fails_closed_on_a_nan_bound(monkeypatch):
@@ -740,10 +787,11 @@ def test_certificate_fails_closed_on_a_nan_bound(monkeypatch):
      pytest.param("zipf", 3.736255535412987, id="zipf")],
 )
 def test_mid_size_solve_takes_few_highs_rounds(monkeypatch, dist, parent_value):
-    # Seeded from the Fisher market and stopped on the Lagrangian bound, the
-    # (20,60) solves take 19 and 21 HiGHS rounds; column generation run to
-    # a clean pricing pass takes 144-156.  ``parent_value`` is the exact
-    # vertex value that run reaches, so the optimum is at least that.
+    # Seeded by the pricer at the market prices and stopped on the
+    # Lagrangian bound, the (20,60) solves take 16 and 17 HiGHS rounds;
+    # column generation run to a clean pricing pass takes 144-156.
+    # ``parent_value`` is the exact vertex value that run reaches, so the
+    # optimum is at least that.
     rounds = []
     solve = configlp._HighsLP.solve
 

@@ -3,14 +3,17 @@
 The LP has one variable y[i,S] per agent/bundle pair, so it is solved by
 column generation.  One HiGHS model holds the restricted primal over a pool
 of bundles; each round adds the new columns and re-solves it warm from the
-last basis, in doubles, for its duals.  One exact branch-and-bound pricer
-(``_best_bundle``) gives each agent's best bundle at a price vector and an
-upper bound on its value, so every pricing pass also gives a Lagrangian
-bound on the LP.  The first pass runs at Fisher-market prices (a few
-rounds of proportional response), and its bundles seed the pool with the
-one-item baseline and each agent's best singleton.  The driver stops when
-the best such bound is within ln(1+eps/2) of the master, or when a pass
-at the duals finds no violated column.  One exact stage ends both the driver
+last basis, in doubles, for its duals.  There is one HiGHS object per
+thread, cleared between solves: each solve borrows its thread's idle
+object and hands it back when it ends (``_HighsLP``).  One exact
+branch-and-bound pricer (``_best_bundle``) gives each agent's best bundle
+at a price vector and an upper bound on its value, so every pricing pass
+also gives a Lagrangian bound on the LP.  The first pass runs at
+Fisher-market prices (a few rounds of proportional response), and its
+bundles seed the pool with the one-item baseline and each agent's best
+singleton.  The driver stops when the best such bound is within
+ln(1+eps/2) of the master, or when a pass at the duals finds no violated
+column.  One exact stage ends both the driver
 and the reference ``full_enumeration_lp``: HiGHS's final basis is solved
 once in exact integer arithmetic, and its vertex must be exactly feasible
 and its value within a cap of the dual bound, or the solve raises
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -70,6 +74,10 @@ _highs = _scipy_ext.load("_highspy._core")
 _Highs = _highs._Highs
 HighsBasisStatus = _highs.HighsBasisStatus
 HighsModelStatus = _highs.HighsModelStatus
+
+# The calling thread's idle HiGHS object, as attribute ``highs`` (None or
+# absent when there is none): _HighsLP borrows it and hands it back.
+_idle = threading.local()
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -503,7 +511,7 @@ def _augment_columns(
         key = (i, tuple(sorted(items)))
         if not key[1]:
             raise ValueError("empty column")
-        if instance.bundle_value(*key) <= 0:
+        if instance._int_sum(*key) <= 0:
             raise ValueError("zero-value column")
         if instance.agents[i].weight > 0:
             pool.setdefault(key)
@@ -527,10 +535,23 @@ class _HighsLP:
     of the duals.  Only its scalar and list calls are used: the binding
     converts an array argument (``addRows``, ``addCol``) with numpy, which
     a solve would then import.
+
+    There is one HiGHS object per thread, cleared between solves: a model
+    borrows the calling thread's idle ``_Highs`` object (a new one is made
+    only when none is idle) and clears it: ``clear()`` drops the last
+    model, its basis and solution and resets every option, so nothing of
+    an earlier solve carries over.  Leaving the model's ``with`` block
+    hands the object back, also when the block raises; a model used
+    without ``with`` keeps its object.  Two models alive in one thread
+    never share an object.
     """
 
     def __init__(self, n: int, m: int, tolerance: Optional[float] = None):
-        h = _Highs()
+        h = getattr(_idle, "highs", None)
+        if h is None:
+            h = _Highs()
+        _idle.highs = None
+        h.clear()
         h.setOptionValue("output_flag", False)
         if tolerance is not None:
             h.setOptionValue("primal_feasibility_tolerance", tolerance)
@@ -545,6 +566,12 @@ class _HighsLP:
         self._m = m
         self._cols = 0
         self.rounds = 0
+
+    def __enter__(self) -> _HighsLP:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _idle.highs, self._h = self._h, None
 
     def add_column(self, cost: float, agent: int, items: tuple[int, ...]) -> None:
         h, col = self._h, self._cols
@@ -645,10 +672,12 @@ def _basis_vertex(
 
 def _positive_weight(instance: Instance, source: Instance) -> tuple[list[int], Instance]:
     """The agents of ``instance`` with positive weight, and the instance of
-    those agents as ``source`` (``instance`` or its scaled copy) has them.
-    The LP fixes every agent's mass at 1, so a zero-weight agent gets
-    neither a row nor a column."""
-    active = [i for i, agent in enumerate(instance.agents) if agent.weight > 0]
+    those agents as ``source`` (``instance`` or its scaled copy) has them:
+    ``source`` itself when no weight is 0.  The LP fixes every agent's mass
+    at 1, so a zero-weight agent gets neither a row nor a column."""
+    active = [i for i, agent in enumerate(instance.agents) if agent.weight.numerator > 0]
+    if len(active) == source.num_agents:
+        return active, source
     return active, replace(source, agents=tuple(source.agents[i] for i in active))
 
 
@@ -734,24 +763,24 @@ def full_enumeration_lp(instance: Instance) -> ColumnSolution:
     if idle:
         raise Infeasible(f"agent {idle[0]} has positive weight but no positive value")
     assignment_baseline(work)  # raises Infeasible exactly when the LP has no point
-    model = _HighsLP(len(active), m, tolerance=1e-10)
     cols, prices = [], []  # (agent, items) over work, and its price
-    for k, agent in enumerate(work.agents):
-        ints = agent.int_values[0]
-        sums = [0] * (1 << m)
-        for mask in range(1, 1 << m):
-            low = mask & (-mask)
-            sums[mask] = sums[mask ^ low] + ints[low.bit_length() - 1]
-            if sums[mask] > 0:
-                cols.append((k, tuple(j for j in range(m) if mask >> j & 1)))
-                prices.append(_price(agent, cols[-1][1], 0.0))
-                model.add_column(-prices[-1], *cols[-1])
-    alpha, beta = model.solve()
-    reduced = max(
-        p - math.fsum(alpha[j] for j in items) - beta[k] for (k, items), p in zip(cols, prices)
-    )
-    bound = math.fsum(alpha + beta) + len(active) * max(0.0, reduced)
-    return _certified_vertex(instance, active, work, cols, model, bound, 1e-9)
+    with _HighsLP(len(active), m, tolerance=1e-10) as model:
+        for k, agent in enumerate(work.agents):
+            ints = agent.int_values[0]
+            sums = [0] * (1 << m)
+            for mask in range(1, 1 << m):
+                low = mask & (-mask)
+                sums[mask] = sums[mask ^ low] + ints[low.bit_length() - 1]
+                if sums[mask] > 0:
+                    cols.append((k, tuple(j for j in range(m) if mask >> j & 1)))
+                    prices.append(_price(agent, cols[-1][1], 0.0))
+                    model.add_column(-prices[-1], *cols[-1])
+        alpha, beta = model.solve()
+        reduced = max(
+            p - math.fsum(alpha[j] for j in items) - beta[k] for (k, items), p in zip(cols, prices)
+        )
+        bound = math.fsum(alpha + beta) + len(active) * max(0.0, reduced)
+        return _certified_vertex(instance, active, work, cols, model, bound, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +967,6 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     base_alloc, _ = assignment_baseline(work)
     baseline = [(owner, (j,)) for j, owner in enumerate(base_alloc.owner) if owner is not None]
     n, m = work.num_agents, work.num_items
-    model = _HighsLP(n, m)
 
     def add(key: tuple[int, tuple[int, ...]]) -> None:
         i, items = key
@@ -958,32 +986,33 @@ def solve_configuration_lp(instance: Instance, epsilon: float) -> ColumnSolution
     bound, bundles = lagrangian(x_best)
     cols = _augment_columns(work, baseline + [(k, items) for k, items, _ in bundles])
     pool = set(cols)
-    for key in cols:
-        add(key)
     stop_gap = ln_slack + n * _PRICE_TOL
-    while True:
-        duals, beta = model.solve()
-        master = math.fsum(duals + beta)
-        found = []
-        for x in ([(a + b) / 2.0 for a, b in zip(x_best, duals)], duals):
-            if bound - master <= stop_gap:
-                break
-            at_x, bundles = lagrangian(x)
-            if at_x < bound:
-                bound, x_best = at_x, x
-            found = [
-                (k, items) for k, items, price in bundles
-                if price - math.fsum(duals[j] for j in items) > beta[k] + _PRICE_TOL
-            ]
-            if found:
-                break
-        if not found:
-            break
-        for key in found:
-            if key in pool:
-                raise NumericalCollapse("LP duals lost precision: pooled column re-priced")
-            pool.add(key)
-            cols.append(key)
+    with _HighsLP(n, m) as model:
+        for key in cols:
             add(key)
-    gap_cap = stop_gap + 1e-9
-    return _certified_vertex(instance, active, work, cols, model, bound, gap_cap)
+        while True:
+            duals, beta = model.solve()
+            master = math.fsum(duals + beta)
+            found = []
+            for x in ([(a + b) / 2.0 for a, b in zip(x_best, duals)], duals):
+                if bound - master <= stop_gap:
+                    break
+                at_x, bundles = lagrangian(x)
+                if at_x < bound:
+                    bound, x_best = at_x, x
+                found = [
+                    (k, items) for k, items, price in bundles
+                    if price - math.fsum(duals[j] for j in items) > beta[k] + _PRICE_TOL
+                ]
+                if found:
+                    break
+            if not found:
+                break
+            for key in found:
+                if key in pool:
+                    raise NumericalCollapse("LP duals lost precision: pooled column re-priced")
+                pool.add(key)
+                cols.append(key)
+                add(key)
+        gap_cap = stop_gap + 1e-9
+        return _certified_vertex(instance, active, work, cols, model, bound, gap_cap)

@@ -165,11 +165,20 @@ class Instance:
         (:func:`_column_fault`).
         """
         items = tuple(items)
+        return Fraction(self._int_sum(i, items), self.agents[i].int_values[1])
+
+    def _int_sum(self, i: int, items: tuple[int, ...]) -> int:
+        """The bundle's value over agent i's denominator d: the exact sum
+        of its int row (:attr:`Agent.int_values`) over ``items``.
+
+        Raises ``ValueError`` when (i, items) is not a column
+        (:func:`_column_fault`).
+        """
         why = _column_fault(self.num_agents, self.num_items, i, items)
         if why is not None:
             raise ValueError(f"column {(i, items)} has {why}")
-        ints, d = self.agents[i].int_values
-        return Fraction(sum(ints[j] for j in items), d)
+        ints = self.agents[i].int_values[0]
+        return sum(ints[j] for j in items)
 
 
 @dataclass(frozen=True)
@@ -208,19 +217,22 @@ def validate(instance: Instance) -> None:
     one agent and one item, then per agent a nonnegative weight that is 0
     or a positive finite double (``TooLarge``), one value per item,
     nonnegative values and values in the double range (``TooLarge``), and
-    last that the weights sum to exactly 1.
+    last that the weights sum to exactly 1.  Every check reads ints: each
+    weight's numerator and denominator, each agent's int row
+    (:attr:`Agent.int_values`, which the check computes and the agent
+    keeps) and the weights as ints over one denominator (:func:`int_row`),
+    so no check compares or adds a ``Fraction``.
     """
     if instance.num_agents < 1:
         raise EmptyInstance("instance has no agents")
     if instance.num_items < 1:
         raise EmptyInstance("instance has no items")
-    total = Fraction(0)
     for idx, agent in enumerate(instance.agents):
-        w = agent.weight
-        if w < 0:
+        p, q = agent.weight.numerator, agent.weight.denominator
+        if p < 0:
             raise NegativeValue(f"agent {idx} has negative weight")
         # The pricer and the market work with the weight as a double.
-        if w and not _positive_double(w.numerator, w.denominator):
+        if p and not _positive_double(p, q):
             raise TooLarge(
                 f"weight of agent {idx} leaves the double range: a positive weight must be "
                 "a positive finite double"
@@ -230,10 +242,10 @@ def validate(instance: Instance) -> None:
                 f"agent {idx} has {len(agent.values)} values, "
                 f"expected {instance.num_items}"
             )
-        for j, v in enumerate(agent.values):
-            if v < 0:
-                raise NegativeValue(f"value of agent {idx} for item {j} is negative")
         ints, d = agent.int_values
+        for j, k in enumerate(ints):
+            if k < 0:
+                raise NegativeValue(f"value of agent {idx} for item {j} is negative")
         positive = [k for k in ints if k > 0]
         if positive:
             low, top = min(positive), sum(positive)
@@ -243,9 +255,9 @@ def validate(instance: Instance) -> None:
                     f"values of agent {idx} leave the double range: its smallest positive "
                     "value, its total and their ratio must be positive finite doubles"
                 )
-        total += w
-    if total != 1:
-        raise WeightSumError(f"weights sum to {total}, expected 1")
+    weights, d = int_row([agent.weight for agent in instance.agents])
+    if sum(weights) != d:
+        raise WeightSumError(f"weights sum to {Fraction(sum(weights), d)}, expected 1")
 
 
 def _positive_double(a: int, b: int) -> bool:
@@ -312,17 +324,21 @@ def nsw(instance: Instance, alloc: Allocation) -> float:
 
 def scale_values(instance: Instance) -> Instance:
     """Divide each agent's values by its minimum positive value, so every
-    value is 0 or >= 1 (an all-zero row stays as it is).
+    value is 0 or >= 1.  An agent whose row is all zero, or whose smallest
+    positive value is already 1, is kept as it is.
 
+    The division reads the int row (:attr:`Agent.int_values`): value j is
+    ints[j] / d and the smallest positive one low / d, so the scaled value
+    is ``Fraction(ints[j], low)``, the quotient ``Fraction`` division gives.
     Dividing agent i's values by s_i lowers every log welfare by the sum of
     w_i ln s_i; the LP driver uses it as a private normalisation.
     """
     new_agents = []
     for agent in instance.agents:
-        positive = [v for v in agent.values if v > 0]
-        if positive:
-            s = min(positive)
-            agent = Agent(agent.weight, tuple(v / s for v in agent.values))
+        ints, d = agent.int_values
+        low = min((k for k in ints if k > 0), default=d)
+        if low != d:
+            agent = Agent(agent.weight, tuple(Fraction(k, low) for k in ints))
         new_agents.append(agent)
     return Instance(num_items=instance.num_items, agents=tuple(new_agents))
 

@@ -100,16 +100,19 @@ def _gen_instances() -> list[tuple[str, dict]]:
     return out
 
 
-def run_solve(tmp: Path, instance: dict, flags: list[str]) -> dict:
+def run_solve(
+    tmp: Path, instance: dict, flags: list[str], capture=contextlib.redirect_stderr
+) -> dict:
     """One ``nswlp solve`` of ``instance`` through ``cli.main``: its exit
     code, and the allocation, report and stderr text (None for a file it
-    did not write)."""
+    did not write).  ``capture(buffer)`` is the context manager that sends
+    stderr to ``buffer`` while the solve runs."""
     inst, alloc, report = tmp / "instance.json", tmp / "alloc.json", tmp / "report.json"
     for p in (alloc, report):
         p.unlink(missing_ok=True)
     inst.write_text(json.dumps(instance))
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with capture(err):
         code = main(["solve", str(inst), *flags, "-o", str(alloc), "--report", str(report)])
     return {
         "exit": code,

@@ -1,14 +1,19 @@
+import contextlib
 import json
 import math
 import random
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nswlp import cli, configlp, gen, jsonio, make_instance, nsw
+from nswlp import (
+    NumericalCollapse, cli, configlp, full_enumeration_lp, gen, jsonio, make_instance, nsw,
+    solve_configuration_lp,
+)
 from nswlp.cli import main, solve_pipeline
 from nswlp.gen import random_weights
 from golden_cli import GOLDEN, RUNS, run_solve
@@ -778,3 +783,113 @@ def test_golden_cli_corpus_replays_byte_for_byte(tmp_path):
     for case in cases:
         for key, flags in RUNS.items():
             assert run_solve(tmp_path, case["instance"], flags) == case["runs"][key], (case["name"], key)
+
+
+def golden_runs() -> list[tuple[tuple[str, str], dict, list[str], dict]]:
+    """Every run of the golden corpus: (name, mode), the instance, the
+    flags and the stored output."""
+    return [
+        ((case["name"], key), case["instance"], flags, case["runs"][key])
+        for case in json.loads(GOLDEN.read_text()) for key, flags in RUNS.items()
+    ]
+
+
+def test_golden_cli_corpus_replays_twice_in_one_process(tmp_path):
+    # Every solve of a thread borrows the same HiGHS object, cleared; a
+    # second pass in reverse order, where each solve follows another
+    # instance's, writes the same bytes as the first.
+    runs = golden_runs()
+    for order in (runs, runs[::-1]):
+        for which, instance, flags, stored in order:
+            assert run_solve(tmp_path, instance, flags) == stored, which
+
+
+def test_solve_after_full_enumeration_or_a_collapse_writes_a_fresh_threads_bytes(
+    tmp_path, monkeypatch
+):
+    # full_enumeration_lp hands back its HiGHS object with 1e-10
+    # tolerances and a full model, a driver solve that raised hands back
+    # one mid-solve; the next solve borrows it and writes the bytes a solve
+    # in a new thread, on a new object, writes.
+    runs = [run for run in golden_runs() if run[0][0].startswith("fractional")]
+    fresh = []
+    thread = threading.Thread(
+        target=lambda: fresh.extend(run_solve(tmp_path, inst, flags) for _, inst, flags, _ in runs),
+        daemon=True,
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(fresh) == len(runs) == 15
+
+    def full_enumeration():
+        values = [[3, 1, 2, 5, 1], [2, 2, 1, 4, 4], [1, 5, 2, 3, 1]]
+        full_enumeration_lp(make_instance(["1/3"] * 3, values))
+
+    def collapse():
+        with monkeypatch.context() as patch:
+            patch.setattr(configlp, "_best_bundle", lambda *args: ((0,), 1e9, 1e9))
+            with pytest.raises(NumericalCollapse, match="pooled column re-priced"):
+                solve_configuration_lp(make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]]), 0.1)
+
+    for before in (full_enumeration, collapse):
+        for (which, instance, flags, _), want in zip(runs, fresh):
+            before()
+            idle = configlp._idle.highs
+            assert run_solve(tmp_path, instance, flags) == want, (before.__name__, which)
+            assert configlp._idle.highs is idle  # the solve borrowed it and handed it back
+
+
+class _StderrByThread:
+    """A stand-in for ``sys.stderr`` that writes to a buffer of the calling
+    thread's own, so solves in several threads each capture their lines."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def write(self, text: str) -> int:
+        return self._local.buffer.write(text)
+
+    def flush(self) -> None:
+        pass
+
+    @contextlib.contextmanager
+    def to(self, buffer):
+        self._local.buffer = buffer
+        try:
+            yield
+        finally:
+            del self._local.buffer
+
+
+def test_golden_cli_corpus_in_threads_at_once(tmp_path, monkeypatch):
+    # Each thread borrows its own HiGHS object, so three threads solving the
+    # corpus at once, in three orders, write what the sequential run wrote.
+    # A short switch interval interleaves their Python steps finely.
+    runs = golden_runs()
+    half = len(runs) // 2
+    orders = [runs, runs[::-1], runs[half:] + runs[:half]]
+    stderr = _StderrByThread()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    results = [[] for _ in orders]
+
+    def replay(k: int) -> None:
+        tmp = tmp_path / str(k)
+        tmp.mkdir()
+        for which, instance, flags, stored in orders[k]:
+            results[k].append((which, run_solve(tmp, instance, flags, stderr.to), stored))
+
+    threads = [threading.Thread(target=replay, args=(k,), daemon=True) for k in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == len(runs)
+        for which, run, stored in got:
+            assert run == stored, which

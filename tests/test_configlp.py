@@ -945,6 +945,9 @@ def test_solve_lp_highs_failure_raises(monkeypatch):
         def getModelStatus(self):
             return HighsModelStatus.kSolveError
 
+    # With the thread's idle slot empty, the driver borrows a new Failing;
+    # undoing the patch drops it from the slot again.
+    monkeypatch.setattr(configlp._idle, "highs", None, raising=False)
     monkeypatch.setattr(configlp, "_Highs", Failing)
     message = _Highs().modelStatusToString(HighsModelStatus.kSolveError)
     inst = make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]])
@@ -955,11 +958,59 @@ def test_solve_lp_highs_failure_raises(monkeypatch):
         solve_configuration_lp(inst, 0.1)
 
 
+# -- one HiGHS object per thread ----------------------------------------------
+
+# Two small restricted primals: (n, m, tolerance, columns, objective).
+MODEL_A = (2, 3, None, [(0, (1,)), (1, (2,)), (0, (0,)), (0, (0, 2)), (1, (0, 1))],
+           [4.0, 3.0, 4.0, 2.0, 5.0])
+MODEL_B = (2, 4, 1e-10, [(0, (0,)), (0, (1, 2)), (1, (3,)), (1, (0, 3)), (0, (2,)), (1, (1,))],
+           [1.0, 2.5, 2.0, 2.2, 0.7, 1.1])
+
+
+def test_two_live_models_in_one_thread_keep_their_own_duals():
+    alone = []
+    for n, m, tolerance, cols, objective in (MODEL_A, MODEL_B):
+        with configlp._HighsLP(n, m, tolerance) as model:
+            for (i, items), c in zip(cols, objective):
+                model.add_column(-c, i, items)
+            alone.append(model.solve())
+    (na, ma, ta, cols_a, obj_a), (nb, mb, tb, cols_b, obj_b) = MODEL_A, MODEL_B
+    with configlp._HighsLP(na, ma, ta) as a, configlp._HighsLP(nb, mb, tb) as b:
+        assert a._h is not b._h
+        # Built in turns, and solved in the opposite order.
+        for k in range(max(len(cols_a), len(cols_b))):
+            for model, cols, objective in ((a, cols_a, obj_a), (b, cols_b, obj_b)):
+                if k < len(cols):
+                    model.add_column(-objective[k], *cols[k])
+        both = [b.solve(), a.solve()][::-1]
+    assert both == alone
+
+
+def test_a_borrowed_highs_object_is_cleared():
+    # full_enumeration_lp hands back its object with 1e-10 tolerances and
+    # every column; the next model borrows that object, cleared.
+    full_enumeration_lp(make_instance(["1/2", "1/2"], [[4, 1, 2], [1, 3, 2]]))
+    idle = configlp._idle.highs
+    assert idle.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
+    assert idle.getNumCol() == 14
+    with configlp._HighsLP(1, 2) as model:
+        assert model._h is idle
+        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+            assert model._h.getOptionValue(name)[1] == 1e-7, name
+        assert model._h.getOptionValue("output_flag")[1] is False
+        assert (model._h.getNumCol(), model._h.getNumRow()) == (0, 3)
+        model.add_column(-1.0, 0, (1,))
+        alpha, beta = model.solve()
+        assert math.fsum(alpha + beta) == pytest.approx(1.0, abs=1e-9)
+    assert configlp._idle.highs is idle
+    assert model._h is None  # handed back: the model can no longer reach it
+
+
 # -- HiGHS binding -------------------------------------------------------------
 
 # Every method configlp._HighsLP calls on scipy's private binding.
 HIGHS_METHODS = (
-    "setOptionValue", "getInfinity", "passModel", "addVar", "changeColCost",
+    "clear", "setOptionValue", "getInfinity", "passModel", "addVar", "changeColCost",
     "changeCoeff", "run", "getModelStatus", "modelStatusToString", "getInfo",
     "getSolution", "getBasis",
 )

@@ -16,6 +16,7 @@ from nswlp import (
     InvalidInstance,
     NegativeValue,
     OverlappingBundles,
+    TooLarge,
     WeightSumError,
     as_fraction,
     check_ef1,
@@ -248,6 +249,72 @@ def test_int_values_are_the_values_exactly(case):
         bundle = [j for j, owner in enumerate(alloc.owner) if owner == i]
         assert inst.bundle_value(i, bundle) == sum((agent.values[j] for j in bundle), Fraction(0))
     assert log_nsw(inst, alloc) == _fraction_log_nsw(inst, alloc)
+
+
+@st.composite
+def rows_to_scale(draw):
+    """A wide instance whose rows are each divided by their smallest
+    positive value first, or not, so that some rows start at 1."""
+    inst, _ = draw(wide_instances())
+    rows = []
+    for agent in inst.agents:
+        low = min((v for v in agent.values if v > 0), default=None)
+        scale = low is not None and draw(st.booleans())
+        rows.append([v / low for v in agent.values] if scale else agent.values)
+    return make_instance([agent.weight for agent in inst.agents], rows)
+
+
+@given(rows_to_scale())
+@example(make_instance(["1/2", "0", "1/2"], [[0, 0, 0], [3, 0, "3/2"], [1, 5, "7/2"]]))
+def test_scale_values_on_int_rows_is_fraction_division(inst):
+    scaled = scale_values(inst)
+    assert scaled.num_items == inst.num_items
+    for agent, got in zip(inst.agents, scaled.agents):
+        low = min((v for v in agent.values if v > 0), default=None)
+        if low is None or low == 1:
+            assert got is agent  # kept as it is
+        else:
+            assert got.weight == agent.weight
+            assert all(type(v) is Fraction for v in got.values)
+            assert got.values == tuple(v / low for v in agent.values)
+
+
+TINY = Fraction(1, 10**400)  # positive, and 0.0 as a double
+
+
+@pytest.mark.parametrize(
+    "weights, values, error, message",
+    [
+        (["1/2", "1/2"], [[1, 2], [3, "-1/3"]], NegativeValue,
+         "value of agent 1 for item 1 is negative"),
+        (["3/2", "-1/2"], [[1], [1]], NegativeValue, "agent 1 has negative weight"),
+        # The negative weight is found before the sum, and before the
+        # agent's own negative value.
+        (["1/2", "-1/2"], [[1], [-1]], NegativeValue, "agent 1 has negative weight"),
+        # The sum is reduced: 2/4, not 1/4 + 1/4.
+        (["1/4", "1/4"], [[1], [1]], WeightSumError, "weights sum to 1/2, expected 1"),
+        (["2/3", "2/3"], [[1], [1]], WeightSumError, "weights sum to 4/3, expected 1"),
+        (["1", "1"], [[1], [1]], WeightSumError, "weights sum to 2, expected 1"),
+        ([TINY, 1 - TINY], [[1], [1]], TooLarge,
+         "weight of agent 0 leaves the double range: a positive weight must be "
+         "a positive finite double"),
+        (["1"], [[1, 10**400]], TooLarge,
+         "values of agent 0 leave the double range: its smallest positive value, "
+         "its total and their ratio must be positive finite doubles"),
+        (["1"], [[TINY, 1]], TooLarge,
+         "values of agent 0 leave the double range: its smallest positive value, "
+         "its total and their ratio must be positive finite doubles"),
+        # A ragged row is found before a negative value in it.
+        (["1/2", "1/2"], [[1, 2], [-3]], InvalidInstance, "agent 1 has 1 values, expected 2"),
+        ([], [], EmptyInstance, "instance has no agents"),
+        (["1"], [[]], EmptyInstance, "instance has no items"),
+    ],
+)
+def test_validate_failures_keep_class_and_message(weights, values, error, message):
+    with pytest.raises(error) as info:
+        make_instance(weights, values)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -81,8 +81,7 @@ def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        jsonio.write_text(path, text)
 
 
 def _welfare(instance: Instance, alloc: Allocation) -> dict:

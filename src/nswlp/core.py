@@ -95,7 +95,15 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        # The substring test spares the common 'p/q' literal the regex.
+        # The common literals, ASCII digits alone or around one '/', skip
+        # Fraction's regex.
+        if x.isascii():
+            if x.isdigit():
+                return Fraction(int(x))
+            p, slash, q = x.partition("/")
+            if slash and p.isdigit() and q.isdigit():
+                return Fraction(int(p), int(q))
+        # The substring test spares a literal without an exponent the regex.
         lit = _DECIMAL.fullmatch(x) if "e" in x or "E" in x else None
         if lit and abs(int(lit[3])) > _MAX_DECIMAL_EXPONENT:
             if int(lit[1] or 0) or int(lit[2] or 0):

@@ -20,6 +20,7 @@ Allocation files are ``{"owner": [agentIndex-or-null, ...]}``.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -117,9 +118,34 @@ def load_instance(path: str) -> Instance:
         return instance_from_obj(json.load(fh, parse_float=parse_rational, parse_int=parse_int))
 
 
+def _open_keeping_contents(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, as ``open(path, "w")`` would.
+
+    An existing file is not truncated when it is opened: the text is written
+    over its old bytes, and the file is then cut to the text's length when
+    it was longer.  On ext4 mounted with ``discard``, truncating on open frees
+    the file's block and the write allocates a new one, which costs several
+    times the write itself.  The file ends with the bytes a fresh file would
+    hold; a write that fails midway leaves an unusable file either way.  A
+    new file, a FIFO and a device such as ``/dev/null`` have size 0 when
+    opened, so they are never cut (``truncate`` on ``/dev/null`` raises
+    ``EINVAL``).
+    """
+    with open(path, "w", encoding="utf-8", opener=_open_keeping_contents) as fh:
+        old_size = os.fstat(fh.fileno()).st_size
+        fh.write(text)
+        # The text takes at least len(text) bytes; truncate() flushes it and
+        # cuts the file at its end, a no-op when the file is no longer.
+        if old_size > len(text):
+            fh.truncate()
+
+
 def save_instance(path: str, instance: Instance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(instance_to_obj(instance)))
+    write_text(path, dumps(instance_to_obj(instance)))
 
 
 def load_allocation(path: str) -> Allocation:

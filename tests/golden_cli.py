@@ -101,15 +101,19 @@ def _gen_instances() -> list[tuple[str, dict]]:
 
 
 def run_solve(
-    tmp: Path, instance: dict, flags: list[str], capture=contextlib.redirect_stderr
+    tmp: Path, instance: dict, flags: list[str], capture=contextlib.redirect_stderr,
+    fresh: bool = True,
 ) -> dict:
     """One ``nswlp solve`` of ``instance`` through ``cli.main``: its exit
     code, and the allocation, report and stderr text (None for a file it
     did not write).  ``capture(buffer)`` is the context manager that sends
-    stderr to ``buffer`` while the solve runs."""
+    stderr to ``buffer`` while the solve runs.  With ``fresh`` false, the
+    output files the last call left in ``tmp`` are kept, and the solve
+    writes over them."""
     inst, alloc, report = tmp / "instance.json", tmp / "alloc.json", tmp / "report.json"
-    for p in (alloc, report):
-        p.unlink(missing_ok=True)
+    if fresh:
+        for p in (alloc, report):
+            p.unlink(missing_ok=True)
     inst.write_text(json.dumps(instance))
     err = io.StringIO()
     with capture(err):

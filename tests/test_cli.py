@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import os
 import random
 import sys
 import threading
@@ -674,6 +675,86 @@ def test_dumps_rejects_non_finite_floats():
             jsonio.dumps({"x": x})
 
 
+# The last line holds characters that take more than one UTF-8 byte, so
+# the text's length in bytes is not its length in characters.
+TEXT = '{\n  "owner": [0, null, 1]\n}\n\u00e9\u2205\n'
+
+
+@pytest.mark.parametrize("old", [
+    pytest.param(None, id="absent"),
+    pytest.param("x" * 200, id="longer"),
+    pytest.param("x", id="shorter"),
+    pytest.param("x" * len(TEXT), id="as-many-characters"),
+    pytest.param("x" * (len(TEXT) + 1), id="more-characters-fewer-bytes"),
+    pytest.param("x" * len(TEXT.encode()), id="as-many-bytes"),
+])
+def test_write_text_leaves_a_fresh_files_bytes(tmp_path, old):
+    fresh, path = tmp_path / "fresh.json", tmp_path / "out.json"
+    with open(fresh, "w", encoding="utf-8") as fh:
+        fh.write(TEXT)
+    if old is not None:
+        path.write_text(old)
+        inode = path.stat().st_ino
+    jsonio.write_text(str(path), TEXT)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_mode == fresh.stat().st_mode
+    if old is not None:
+        assert path.stat().st_ino == inode  # written in place
+
+
+def test_write_text_does_not_truncate_on_open(tmp_path, monkeypatch):
+    # Truncating on open frees the file's blocks for the write to allocate
+    # new ones; the file is cut after the write instead.
+    flags, real_open = [], os.open
+
+    def spy(path, f, *args):
+        flags.append(f)
+        return real_open(path, f, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    path = tmp_path / "out.json"
+    path.write_text("x" * 200)
+    jsonio.write_text(str(path), TEXT)
+    assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+    assert path.read_text(encoding="utf-8") == TEXT
+
+
+def test_write_text_to_a_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    jsonio.write_text(str(fifo), TEXT)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [TEXT.encode()]
+
+
+def test_write_text_to_dev_null():
+    # A device is never cut: truncate() on /dev/null raises EINVAL.
+    jsonio.write_text(os.devnull, TEXT)
+
+
+def test_write_dash_or_no_path_goes_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cli._write(None, TEXT)
+    cli._write("-", TEXT)
+    assert capsys.readouterr().out == TEXT * 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["dir", "missing/out.json"])
+def test_write_text_fails_as_open_does(tmp_path, name):
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / name
+    with pytest.raises(OSError) as want:
+        open(path, "w", encoding="utf-8")
+    with pytest.raises(OSError) as got:
+        jsonio.write_text(str(path), TEXT)
+    assert type(got.value) is type(want.value) and got.value.errno == want.value.errno
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_stdout_matches_output_files(tmp_path, capsys, command):
     d = tmp_path / "corpus"
@@ -802,6 +883,21 @@ def test_golden_cli_corpus_replays_twice_in_one_process(tmp_path):
     for order in (runs, runs[::-1]):
         for which, instance, flags, stored in order:
             assert run_solve(tmp_path, instance, flags) == stored, which
+
+
+def test_golden_cli_corpus_replays_over_existing_files(tmp_path):
+    # Each solve writes over the two files the solve before it left, forward
+    # and then in reverse, so some land on a longer old file, which must be
+    # cut to the new length.
+    runs = golden_runs()
+    alloc, report = tmp_path / "alloc.json", tmp_path / "report.json"
+    longer = 0
+    for which, instance, flags, stored in runs + runs[::-1]:
+        old = [p.stat().st_size if p.exists() else 0 for p in (alloc, report)]
+        assert run_solve(tmp_path, instance, flags, fresh=False) == stored, which
+        longer += old[0] > len(stored["allocation"].encode())
+        longer += old[1] > len(stored["report"].encode())
+    assert longer > 0
 
 
 def test_solve_after_full_enumeration_or_a_collapse_writes_a_fresh_threads_bytes(

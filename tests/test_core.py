@@ -26,7 +26,7 @@ from nswlp import (
     scale_values,
     validate,
 )
-from nswlp import jsonio
+from nswlp import core, jsonio
 from nswlp.core import _augment, _exp_welfare
 from conftest import ef1_by_quantifiers, free_counts, full_bfs_augment, transpose
 
@@ -389,6 +389,44 @@ def test_decimal_exponent_beyond_the_guard():
         as_fraction("1.5e-100000000")
     assert as_fraction(" -0.00e1_0000_0000 ") == 0
     assert as_fraction("1e10000") == 10**10000
+
+
+def _outcome(parse, text):
+    """What ``parse(text)`` returns, or the class and message it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.from_regex(r"[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)
+       | st.text(alphabet="0123456789/ +-_.\u0663", max_size=12))
+@example("1/0")
+@example("00/0")
+@example("1" * 4301)
+@example("3/" + "1" * 4301)
+def test_as_fraction_reads_a_literal_as_fraction_does(text):
+    # Digit literals skip Fraction's parser; every string still gives its
+    # value, or the class and message Fraction raises (int's digit limit too).
+    assert _outcome(as_fraction, text) == _outcome(Fraction, text)
+
+
+@pytest.mark.parametrize("text, parsed", [
+    ("12", False), ("12/8", False), ("007/0010", False),
+    (" 3", True), ("+3", True), ("-3", True), ("1_000", True), ("3.0", True),
+    ("1e3", True), ("1 / 3", True), ("\u0663", True),  # an Arabic-Indic 3: isdigit, not ASCII
+])
+def test_only_ascii_digit_literals_skip_fractions_parser(monkeypatch, text, parsed):
+    seen = []
+
+    class Spy(Fraction):
+        def __new__(cls, *args):
+            seen.extend(a for a in args if isinstance(a, str))
+            return Fraction(*args)
+
+    monkeypatch.setattr(core, "Fraction", Spy)
+    assert _outcome(as_fraction, text) == _outcome(Fraction, text)
+    assert seen == ([text] if parsed else [])
 
 
 def test_allocation_json_roundtrip():
